@@ -320,7 +320,6 @@ def cmd_bench(args, config: dict) -> int:
         return ridge.predict(model, features.transform_combined(text, cv))
 
     stats = ev.bench_latency(predict_one, texts, warmup=args.warmup)
-    print(f"kernel backend: {kernels.BACKEND}")
     print(stats.format_line())
     return EXIT_OK
 

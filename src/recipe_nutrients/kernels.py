@@ -1,100 +1,16 @@
-"""Sparse CSR kernels with a numba fast path and a pure-numpy fallback.
+"""Compressed sparse row (CSR) matrix and its two products, in numpy.
 
-The ridge solver spends essentially all of its time in the two matrix-vector
-products below, so they are jitted with numba when available. Set
-
-    RECIPE_NUTRIENTS_BACKEND=numpy
-
-to force the vectorized numpy implementations instead (the default "numba"
-silently falls back to numpy when numba cannot be imported). Both variants
-stay importable so benchmarks/bench_kernels.py can compare them directly.
+The ridge solver spends essentially all of its time in ``CsrMatrix.matvec``
+(``X z``) and ``CsrMatrix.rmatvec`` (``X.T u``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-
-# --- pure-numpy implementations -------------------------------------------
-
-def csr_matvec_numpy(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """y = A @ x for CSR A. Cumulative-sum segment reduction; handles empty rows."""
-    products = data * x[indices]
-    sums = np.concatenate(([0.0], np.cumsum(products)))
-    return sums[indptr[1:]] - sums[indptr[:-1]]
-
-
-def csr_rmatvec_numpy(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                      y: np.ndarray, n_cols: int) -> np.ndarray:
-    """z = A.T @ y for CSR A, scattered with bincount."""
-    row_counts = np.diff(indptr)
-    weights = data * np.repeat(y, row_counts)
-    return np.bincount(indices, weights=weights, minlength=n_cols)
-
-
-# --- numba implementations --------------------------------------------------
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _matvec_jit(data, indices, indptr, x, out):  # pragma: no cover - jitted
-        for i in range(out.shape[0]):
-            acc = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                acc += data[k] * x[indices[k]]
-            out[i] = acc
-
-    @njit(cache=True)
-    def _rmatvec_jit(data, indices, indptr, y, out):  # pragma: no cover - jitted
-        for i in range(y.shape[0]):
-            yi = y[i]
-            for k in range(indptr[i], indptr[i + 1]):
-                out[indices[k]] += data[k] * yi
-
-    def csr_matvec_numba(data, indices, indptr, x):
-        out = np.empty(len(indptr) - 1, dtype=np.float64)
-        _matvec_jit(data, indices, indptr, x, out)
-        return out
-
-    def csr_rmatvec_numba(data, indices, indptr, y, n_cols):
-        out = np.zeros(n_cols, dtype=np.float64)
-        _rmatvec_jit(data, indices, indptr, y, out)
-        return out
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    csr_matvec_numba = None
-    csr_rmatvec_numba = None
-    NUMBA_AVAILABLE = False
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("RECIPE_NUTRIENTS_BACKEND", "numba").strip().lower()
-    if requested not in ("numba", "numpy"):
-        raise ValueError(
-            f"RECIPE_NUTRIENTS_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-    if requested == "numba" and not NUMBA_AVAILABLE:
-        return "numpy"
-    return requested
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    csr_matvec = csr_matvec_numba
-    csr_rmatvec = csr_rmatvec_numba
-else:
-    csr_matvec = csr_matvec_numpy
-    csr_rmatvec = csr_rmatvec_numpy
-
-
-# --- CSR container -----------------------------------------------------------
 
 @dataclass
 class CsrMatrix:
@@ -108,10 +24,20 @@ class CsrMatrix:
         return len(self.data)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return csr_matvec(self.data, self.indices, self.indptr, x)
+        """y = A @ x: a segmented sum of data * x[indices] over each row."""
+        out = np.zeros(self.shape[0], dtype=np.float64)
+        starts = self.indptr[:-1]
+        nonempty = starts < self.indptr[1:]
+        # reduceat sums from each start to the next, so empty rows (whose start
+        # repeats the next row's, or is out of range at the end) are left out
+        # and keep their zero
+        out[nonempty] = np.add.reduceat(self.data * x[self.indices], starts[nonempty])
+        return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return csr_rmatvec(self.data, self.indices, self.indptr, y, self.shape[1])
+        """z = A.T @ y, scattered with bincount."""
+        weights = self.data * np.repeat(y, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=weights, minlength=self.shape[1])
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)

@@ -18,6 +18,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 import requests
 
 from .ridge import NutrientPrediction
-from .util import format_decimal, load_jsonl
+from .util import format_decimal, load_jsonl, parse_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -189,12 +190,24 @@ def request_hash(req: ChatRequest, ep: EndpointConfig) -> str:
     return f"sha256:{digest}"
 
 
+_thread_state = threading.local()
+
+
+def _session() -> requests.Session:
+    """This thread's HTTP session, so its requests reuse kept-alive connections."""
+    session = getattr(_thread_state, "session", None)
+    if session is None:
+        session = _thread_state.session = requests.Session()
+        weakref.finalize(threading.current_thread(), session.close)
+    return session
+
+
 def complete(req: ChatRequest, ep: EndpointConfig) -> str:
     """POST the request to {base_url}/chat/completions and return the reply text.
 
-    Transient failures (connection errors, timeouts, HTTP 429/5xx) retry with
-    exponential backoff up to max_retries; other non-2xx statuses fail
-    immediately.
+    Each thread sends over its own keep-alive session. Transient failures
+    (connection errors, timeouts, HTTP 429/5xx) retry with exponential backoff
+    up to max_retries; other non-2xx statuses fail immediately.
     """
     headers = {"Content-Type": "application/json"}
     if ep.api_key_env:
@@ -210,7 +223,7 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
         if attempt:
             time.sleep(ep.backoff_base * 2 ** (attempt - 1))
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=ep.timeout)
+            response = _session().post(url, json=payload, headers=headers, timeout=ep.timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_failure = f"{type(exc).__name__}: {exc}"
             logger.debug("attempt %d failed: %s", attempt + 1, last_failure)
@@ -237,15 +250,34 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
 
 
 class TranscriptCache:
-    """Append-only json-lines transcript enabling offline replay of runs."""
+    """Append-only json-lines transcript enabling offline replay of runs.
+
+    A final line cut short by a crash mid-append is skipped with a warning
+    and cut off before the next record is appended; a malformed line
+    anywhere else raises ValueError.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], str] = {}
-        if self.path.exists():
-            for row in load_jsonl(self.path):
-                self._entries[(str(row["id"]), str(row["request_hash"]))] = str(row["response"])
+        # (offset, prefix): before the next append, cut the file at offset and
+        # write prefix, so that the new record starts on a line of its own
+        self._repair: tuple[int, bytes] | None = None
+        if not self.path.exists():
+            return
+        data = self.path.read_bytes()
+        body, _, tail = data.rpartition(b"\n")
+        rows = parse_jsonl(body.decode("utf-8").split("\n"), self.path)
+        if tail:
+            try:
+                rows += parse_jsonl([tail.decode("utf-8")], self.path)
+                self._repair = (len(data), b"\n")
+            except ValueError:
+                logger.warning("%s: skipping the torn last line (%d bytes)", self.path, len(tail))
+                self._repair = (len(data) - len(tail), b"")
+        for row in rows:
+            self._entries[(str(row["id"]), str(row["request_hash"]))] = str(row["response"])
 
     def lookup(self, sample_id: str, req_hash: str) -> str | None:
         return self._entries.get((sample_id, req_hash))
@@ -253,10 +285,16 @@ class TranscriptCache:
     def record(self, sample_id: str, req_hash: str, response: str) -> None:
         row = {"id": sample_id, "request_hash": req_hash,
                "response": response, "timestamp": time.time()}
+        line = (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             self._entries[(sample_id, req_hash)] = response
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            with open(self.path, "ab") as fh:
+                if self._repair is not None:
+                    offset, prefix = self._repair
+                    fh.truncate(offset)
+                    line = prefix + line
+                    self._repair = None
+                fh.write(line)
 
 
 def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
@@ -290,16 +328,41 @@ def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
     return results
 
 
+# Words that, put before a key, name another quantity ("saturated fat" is not fat).
+_KEY_QUALIFIERS = frozenset({"saturated", "unsaturated", "monounsaturated", "polyunsaturated",
+                             "trans", "added"})
+
+# "key - number": the word before the key, if any, is captured so that a
+# qualified key can be told apart; a key joined to a word before it
+# ("low-fat", "xfat") is no key. The number may carry an exponent.
+_PAIR = re.compile(
+    rf"(?:\b([a-z]+)\s+)?(?<![\w-])({'|'.join(PREDICTION_KEYS)})\s*-\s*"
+    r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)",
+    flags=re.IGNORECASE)
+# what may not follow a number, as it would have been read cut short: "1e",
+# "1.e5", "1.2.3"
+_TRUNCATED = re.compile(r"\.?[\deE]")
+
+
 def parse_llm_nutrients(text: str) -> NutrientPrediction:
-    """Scan free text for the four "key - number" pairs, any order."""
+    """Scan free text for the four "key - number" pairs, any order.
+
+    A key repeated with another value, or a number that would have to be cut
+    short to be read or overflows, raises ParseError rather than yield a guess.
+    """
     values: dict[str, float] = {}
-    missing: list[str] = []
-    for key in PREDICTION_KEYS:
-        match = re.search(rf"\b{key}\s*-\s*(\d+(?:\.\d+)?)", text, flags=re.IGNORECASE)
-        if match is None:
-            missing.append(key)
-        else:
-            values[key] = float(match.group(1))
+    for match in _PAIR.finditer(text):
+        qualifier, key, number = match.groups()
+        if qualifier is not None and qualifier.lower() in _KEY_QUALIFIERS:
+            continue
+        if _TRUNCATED.match(text, match.end()):
+            raise ParseError(f"malformed number after {key!r}: {text[match.start(3):][:20]!r}")
+        key, value = key.lower(), float(number)
+        if not math.isfinite(value):
+            raise ParseError(f"{key!r} is out of range: {number[:20]!r}")
+        if values.setdefault(key, value) != value:
+            raise ParseError(f"output gives {key!r} twice with different values: {text[:120]!r}")
+    missing = [key for key in PREDICTION_KEYS if key not in values]
     if missing:
         raise ParseError(f"output is missing nutrient keys {missing}: {text[:120]!r}")
     return NutrientPrediction(**values)

@@ -28,19 +28,27 @@ def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
 
     Raises ValueError naming the offending line on malformed json.
     """
-    rows: list[dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: invalid json on line {lineno + 1}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno + 1} is not a json object")
-            rows.append(obj)
+        return parse_jsonl(fh, path)
+
+
+def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]]:
+    """Parse json-lines text, skipping blank lines.
+
+    Raises ValueError naming ``source`` and the offending line on malformed json.
+    """
+    rows: list[dict[str, Any]] = []
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source}: invalid json on line {lineno + 1}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"{source}: line {lineno + 1} is not a json object")
+        rows.append(obj)
     return rows
 
 

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from recipe_nutrients import kernels
 from recipe_nutrients.features import SparseVector
-from recipe_nutrients.kernels import (
-    CsrMatrix,
-    csr_matvec_numpy,
-    csr_rmatvec_numpy,
-    from_dense,
-    stack_rows,
-)
+from recipe_nutrients.kernels import from_dense, stack_rows
 
 
 def random_sparse(rng, rows, cols, density=0.2, empty_rows=()):
@@ -28,12 +23,8 @@ def random_sparse(rng, rows, cols, density=0.2, empty_rows=()):
 def test_matvec_matches_dense(shape, empty_rows):
     rng = np.random.default_rng(1)
     dense = random_sparse(rng, *shape, empty_rows=empty_rows)
-    matrix = from_dense(dense)
     x = rng.normal(size=shape[1])
-    expected = dense @ x
-    assert np.allclose(csr_matvec_numpy(matrix.data, matrix.indices, matrix.indptr, x),
-                       expected)
-    assert np.allclose(matrix.matvec(x), expected)
+    assert np.allclose(from_dense(dense).matvec(x), dense @ x)
 
 
 @pytest.mark.parametrize("shape,empty_rows", [
@@ -44,28 +35,43 @@ def test_matvec_matches_dense(shape, empty_rows):
 def test_rmatvec_matches_dense(shape, empty_rows):
     rng = np.random.default_rng(2)
     dense = random_sparse(rng, *shape, empty_rows=empty_rows)
-    matrix = from_dense(dense)
     y = rng.normal(size=shape[0])
-    expected = dense.T @ y
-    assert np.allclose(
-        csr_rmatvec_numpy(matrix.data, matrix.indices, matrix.indptr, y, shape[1]),
-        expected)
-    assert np.allclose(matrix.rmatvec(y), expected)
+    assert np.allclose(from_dense(dense).rmatvec(y), dense.T @ y)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_and_numpy_agree():
-    rng = np.random.default_rng(3)
-    dense = random_sparse(rng, 20, 15, empty_rows=(5, 6))
+@st.composite
+def sparse_problems(draw):
+    """A dense matrix with whole rows emptied at random, and vectors for both products."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    value = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    dense = draw(hnp.arrays(np.float64, (rows, cols), elements=value))
+    dense[~draw(hnp.arrays(np.bool_, (rows, cols)))] = 0.0
+    dense[draw(hnp.arrays(np.bool_, rows))] = 0.0
+    x = draw(hnp.arrays(np.float64, cols, elements=value))
+    y = draw(hnp.arrays(np.float64, rows, elements=value))
+    return dense, x, y
+
+
+def _problem(dense):
+    dense = np.asarray(dense, dtype=np.float64)
+    return dense, np.arange(1.0, dense.shape[1] + 1), np.arange(1.0, dense.shape[0] + 1)
+
+
+@given(sparse_problems())
+@example(_problem(np.zeros((4, 3))))  # nnz = 0
+@example(_problem([[0, 0], [1, 2], [3, 0]]))  # empty first row
+@example(_problem([[1, 0], [0, 0], [0, 0], [0, 4]]))  # empty middle rows
+@example(_problem([[1, 2], [0, 3], [0, 0]]))  # empty last row
+@example(_problem([[0, 5, 0, 6]]))  # 1 x k
+@example(_problem([[0], [2], [0], [7]]))  # k x 1
+def test_products_match_dense_toarray(problem):
+    dense, x, y = problem
     matrix = from_dense(dense)
-    x = rng.normal(size=15)
-    y = rng.normal(size=20)
-    assert np.allclose(
-        kernels.csr_matvec_numba(matrix.data, matrix.indices, matrix.indptr, x),
-        csr_matvec_numpy(matrix.data, matrix.indices, matrix.indptr, x))
-    assert np.allclose(
-        kernels.csr_rmatvec_numba(matrix.data, matrix.indices, matrix.indptr, y, 15),
-        csr_rmatvec_numpy(matrix.data, matrix.indices, matrix.indptr, y, 15))
+    assert np.array_equal(matrix.toarray(), dense)
+    # at most 9 terms of size <= 1e4 each: float64 rounding stays far below 1e-9
+    np.testing.assert_allclose(matrix.matvec(x), matrix.toarray() @ x, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(matrix.rmatvec(y), matrix.toarray().T @ y, rtol=1e-12, atol=1e-9)
 
 
 def test_stack_rows_round_trips_dense():
@@ -98,14 +104,3 @@ def test_from_dense_round_trip():
     rng = np.random.default_rng(4)
     dense = random_sparse(rng, 6, 9, empty_rows=(1,))
     assert np.array_equal(from_dense(dense).toarray(), dense)
-
-
-def test_backend_flag_is_validated(monkeypatch):
-    monkeypatch.setenv("RECIPE_NUTRIENTS_BACKEND", "fortran")
-    with pytest.raises(ValueError, match="BACKEND"):
-        kernels._select_backend()
-
-
-def test_backend_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("RECIPE_NUTRIENTS_BACKEND", "numpy")
-    assert kernels._select_backend() == "numpy"

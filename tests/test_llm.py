@@ -1,8 +1,11 @@
 import json
+import logging
 import os
 import socket
+import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import Scripted, completion_body
 
@@ -29,6 +32,22 @@ from recipe_nutrients.ridge import NutrientPrediction
 
 ANSWER1 = "Nutrient values per 100 g: fat - 8.55, protein - 12.31, saturates - 1.72, sugars - 14.17"
 ANSWER2 = "Nutrient values per 100 g: fat - 14.20, protein - 3.10, saturates - 2.15, sugars - 0.50"
+
+
+# text put before a "key - value" pair that must not be read as one of the keys
+ADVERSARIAL_PREFIXES = (
+    "",
+    "and finally ",
+    "saturated fat - 99.5, ",
+    "Saturated FAT - 1e3; ",
+    "trans fat - 7, ",
+    "monounsaturated fat-3 ",
+    "added sugars - 12.5 ",
+    "low-fat - 8, ",
+    "nonfat - 4, ",
+    "fats - 6, ",
+    "of which ",
+)
 
 
 def pred(fat=0, protein=0, saturates=0, sugars=0):
@@ -203,6 +222,40 @@ class TestParseLlmNutrients:
             for key in ("fat", "protein", "saturates", "sugars"):
                 assert abs(getattr(recovered, key) - getattr(original, key)) <= 0.005 + 1e-9
 
+    def test_saturated_fat_is_not_fat(self):
+        text = "saturated fat - 2.0, fat - 10.0, protein - 3, saturates - 1, sugars - 4"
+        assert parse_llm_nutrients(text) == pred(fat=10.0, protein=3, saturates=1, sugars=4)
+
+    def test_hyphenated_compound_is_not_a_key(self):
+        with pytest.raises(ParseError, match="fat"):
+            parse_llm_nutrients("low-fat - 1, protein - 3, saturates - 1, sugars - 4")
+
+    def test_exponent_read_in_full(self):
+        text = "fat - 1e1, protein - 2.5E-1, saturates - 1e+0, sugars - 4"
+        assert parse_llm_nutrients(text) == pred(fat=10.0, protein=0.25, saturates=1, sugars=4)
+
+    @pytest.mark.parametrize("number", ["1e", "1E+", "1.e5", "1.2.3", "1e999"])
+    def test_number_never_read_cut_short(self, number):
+        with pytest.raises(ParseError, match="fat"):
+            parse_llm_nutrients(f"fat - {number}, protein - 3, saturates - 1, sugars - 4")
+
+    def test_conflicting_repeat_rejected(self):
+        with pytest.raises(ParseError, match="twice"):
+            parse_llm_nutrients("fat - 1, protein - 3, saturates - 1, sugars - 4. fat - 2")
+
+    @given(values=st.lists(st.floats(0, 1000, allow_nan=False), min_size=4, max_size=4),
+           order=st.permutations(range(4)),
+           prefixes=st.lists(st.sampled_from(ADVERSARIAL_PREFIXES), min_size=5, max_size=5))
+    def test_round_trip_with_shuffled_keys_and_adversarial_prefixes(self, values, order,
+                                                                    prefixes):
+        original = pred(*values)
+        head, _, body = render_prediction_line(original).partition(": ")
+        parts = body.split(", ")
+        text = prefixes[4] + head + ": " + ", ".join(prefixes[i] + parts[i] for i in order)
+        recovered = parse_llm_nutrients(text)
+        for key in ("fat", "protein", "saturates", "sugars"):
+            assert abs(getattr(recovered, key) - getattr(original, key)) <= 0.005 + 1e-9
+
 
 class TestParseRefineJson:
     def test_plain_object(self):
@@ -304,6 +357,42 @@ class TestTranscriptCache:
         assert second == {"s1": "cached answer"}
         assert len(endpoint_stub.requests) == 1  # no new traffic
 
+    def test_torn_final_line_skipped_and_cut_before_next_record(self, tmp_path, caplog):
+        path = tmp_path / "transcripts.jsonl"
+        first = TranscriptCache(path)
+        first.record("s1", "h1", "one")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "s2", "request_hash": "h2", "resp')  # crash mid-append
+
+        with caplog.at_level(logging.WARNING, logger="recipe_nutrients.llm"):
+            reloaded = TranscriptCache(path)
+        assert "torn last line" in caplog.text
+        assert reloaded.lookup("s1", "h1") == "one"
+        assert reloaded.lookup("s2", "h2") is None
+
+        reloaded.record("s3", "h3", "three")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in lines] == ["s1", "s3"]
+        third = TranscriptCache(path)
+        assert third.lookup("s1", "h1") == "one" and third.lookup("s3", "h3") == "three"
+
+    def test_unterminated_complete_final_line_kept(self, tmp_path):
+        path = tmp_path / "transcripts.jsonl"
+        row = {"id": "s1", "request_hash": "h1", "response": "one"}
+        path.write_text(json.dumps(row), encoding="utf-8")
+        cache = TranscriptCache(path)
+        assert cache.lookup("s1", "h1") == "one"
+        cache.record("s2", "h2", "two")
+        reloaded = TranscriptCache(path)
+        assert reloaded.lookup("s1", "h1") == "one" and reloaded.lookup("s2", "h2") == "two"
+
+    def test_corrupt_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "transcripts.jsonl"
+        row = json.dumps({"id": "s1", "request_hash": "h1", "response": "one"})
+        path.write_text('{"id": "s0", "requ\n' + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1"):
+            TranscriptCache(path)
+
     def test_hash_distinguishes_requests(self):
         ep = EndpointConfig(base_url="http://x/v1", model_name="m")
         a = render_direct_prompt("oats", FewShotBank.default())
@@ -331,6 +420,47 @@ class TestCompleteMany:
                 for i in range(12)]
         results = complete_many(reqs, ep)
         assert all(results[f"s{i}"] == "pong" for i in range(12))
+
+
+def test_complete_reuses_one_connection_per_thread():
+    """Against a keep-alive server, each thread opens one connection for all its requests."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    peers = set()
+    body = completion_body("pong")
+
+    class KeepAlive(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            peers.add(self.client_address)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAlive)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        ep = EndpointConfig(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
+                            model_name="m", timeout=5.0, max_concurrency=2)
+        reqs = [(f"s{i}", ChatRequest(system="s",
+                                      messages=({"role": "user", "content": str(i)},)))
+                for i in range(10)]
+        results = complete_many(reqs, ep)
+        assert all(results[f"s{i}"] == "pong" for i in range(10))
+        assert 1 <= len(peers) <= 2
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 LIVE_URL = os.environ.get("RECIPE_NUTRIENTS_LIVE_BASE_URL")
