@@ -14,13 +14,13 @@ from .dataset import (
 )
 from .features import (
     CombinedVectorizer,
-    SparseVector,
     VectorizerConfig,
     Vocabulary,
     char_config,
     fit,
     fit_combined,
     transform,
+    transform_batch,
     transform_combined,
     word_config,
 )

@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import dataset, evaluate as ev, features, kernels, llm, ridge
+from . import dataset, evaluate as ev, features, llm, ridge
 from .dataset import SCORED_NUTRIENTS
-from .util import dump_jsonl
+from .util import atomic_write, dump_jsonl
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,31 +70,6 @@ def _labeled_samples(samples: list[dataset.RecipeSample], path) -> dict[str, dat
     return labels
 
 
-_worker_vectorizer: features.CombinedVectorizer | None = None
-
-
-def _init_transform_worker(cv: features.CombinedVectorizer) -> None:
-    global _worker_vectorizer
-    _worker_vectorizer = cv
-
-
-def _transform_chunk(texts: list[str]) -> list[features.SparseVector]:
-    return [features.transform_combined(t, _worker_vectorizer) for t in texts]
-
-
-def _transform_matrix(texts: list[str], cv: features.CombinedVectorizer,
-                      workers: int = 1) -> kernels.CsrMatrix:
-    if workers <= 1 or len(texts) < 2 * workers:
-        vectors = [features.transform_combined(t, cv) for t in texts]
-    else:
-        chunk = (len(texts) + workers - 1) // workers
-        parts = [texts[i:i + chunk] for i in range(0, len(texts), chunk)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_transform_worker,
-                                 initargs=(cv,)) as pool:
-            vectors = [vec for part in pool.map(_transform_chunk, parts) for vec in part]
-    return kernels.stack_rows(vectors, cv.dim)
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_prepare(args, config: dict) -> int:
@@ -142,7 +117,6 @@ def cmd_train(args, config: dict) -> int:
                                         ",".join(SCORED_NUTRIENTS)))
     tol = float(_setting(args.tol, config, "train", "tol", 1e-8))
     max_iter = int(_setting(args.max_iter, config, "train", "max_iter", 1000))
-    workers = int(_setting(args.workers, config, "train", "workers", 1))
 
     train_samples = dataset.load_samples(args.train)
     train_labels = _labeled_samples(train_samples, args.train)
@@ -153,7 +127,7 @@ def cmd_train(args, config: dict) -> int:
           f"(word {word_cfg.max_features}, char {char_cfg.max_features}) ...")
     cv = features.fit_combined(texts, word_cfg, char_cfg)
     print(f"combined dim: {cv.dim} (word {len(cv.word)} + char {len(cv.char)})")
-    matrix = _transform_matrix(texts, cv, workers)
+    matrix = features.transform_batch(texts, cv)
     labels = [train_labels[s.id] for s in train_samples]
 
     if args.alpha_grid:
@@ -166,7 +140,7 @@ def cmd_train(args, config: dict) -> int:
         alphas = [float(a) for a in args.alpha_grid.split(",") if a.strip()]
         val_samples = dataset.load_samples(args.val)
         val_labels = _labeled_samples(val_samples, args.val)
-        val_matrix = _transform_matrix([s.ingredient_text for s in val_samples], cv, workers)
+        val_matrix = features.transform_batch([s.ingredient_text for s in val_samples], cv)
         rules = ev.load_rules(args.rules)
         scored = list(SCORED_NUTRIENTS)
 
@@ -218,8 +192,7 @@ def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
 def cmd_predict(args, config: dict) -> int:
     model, cv = _load_model_and_vectorizer(args.model, args.vectorizer)
     samples = dataset.load_samples(args.infile)
-    workers = int(_setting(args.workers, config, "predict", "workers", 1))
-    matrix = _transform_matrix([s.ingredient_text for s in samples], cv, workers)
+    matrix = features.transform_batch([s.ingredient_text for s in samples], cv)
     batch = ridge.predict_batch(model, matrix)
     rows = []
     for i, sample in enumerate(samples):
@@ -305,7 +278,7 @@ def cmd_evaluate(args, config: dict) -> int:
     report = ev.evaluate(preds, labels, rules, nutrients=nutrients)
     print(report.format_table())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.json_out) as fh:
             json.dump(report.to_dict(), fh, indent=2)
         print(f"machine report written to {args.json_out}")
     return EXIT_OK
@@ -354,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char-features", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
-    p.add_argument("--workers", type=int, help="process-pool size for batch transforms")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict nutrients with a trained model")
@@ -362,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectorizer", help="default: <model>.vocab.json")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, help="process-pool size for batch transforms")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("llm-predict", help="direct few-shot inference via a chat endpoint")

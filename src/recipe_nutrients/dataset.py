@@ -241,13 +241,21 @@ def save_samples(path: str | Path, samples: Iterable[RecipeSample]) -> int:
 
 
 def load_samples(path: str | Path) -> list[RecipeSample]:
-    """Read a canonical json-lines dump written by :func:`save_samples`."""
+    """Read a canonical json-lines dump written by :func:`save_samples`.
+
+    Ids must be unique within the file.
+    """
     samples = []
+    seen_ids: set[str] = set()
     for index, row in enumerate(load_jsonl(path)):
         try:
             text = row["ingredient_text"]
             labels = NutrientVector.from_dict(row["labels"]) if row.get("labels") else None
-            samples.append(RecipeSample(id=str(row["id"]), ingredient_text=text, labels=labels))
+            sample = RecipeSample(id=str(row["id"]), ingredient_text=text, labels=labels)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad sample record {index}: {exc}") from exc
+        if sample.id in seen_ids:
+            raise ValueError(f"{path}: record {index} has duplicate id {sample.id!r}")
+        seen_ids.add(sample.id)
+        samples.append(sample)
     return samples

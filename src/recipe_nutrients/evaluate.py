@@ -227,10 +227,15 @@ def save_predictions(path: str | Path, preds: Mapping[str, NutrientPrediction]) 
 
 
 def load_predictions(path: str | Path) -> dict[str, NutrientPrediction]:
+    """Read the prediction interchange file; ids must be unique within it."""
     preds: dict[str, NutrientPrediction] = {}
     for index, row in enumerate(load_jsonl(path)):
         try:
-            preds[str(row["id"])] = NutrientPrediction.from_dict(row)
+            sample_id = str(row["id"])
+            pred = NutrientPrediction.from_dict(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad prediction record {index}: {exc}") from exc
+        if sample_id in preds:
+            raise ValueError(f"{path}: record {index} has duplicate id {sample_id!r}")
+        preds[sample_id] = pred
     return preds

@@ -3,8 +3,8 @@
 Word-level n-grams capture ingredient terms and combinations; word-boundary
 character n-grams absorb spelling variation. Each fitted vocabulary maps
 terms to dense column indices with smooth idf weights; a document transforms
-to an L2-normalized sparse vector per vocabulary, and the two sub-vectors
-concatenate into the final feature vector.
+to an L2-normalized row per vocabulary, and the two rows sit side by side in
+one row of the feature matrix, built in one pass straight to CSR.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from .kernels import CsrMatrix
 from .stopwords import ENGLISH_STOPWORDS
+from .util import atomic_write
 
 FORMAT_VERSION = 1
 
@@ -158,20 +162,6 @@ class Vocabulary:
             raise ValueError("vocabulary exceeds max_features")
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    indices: np.ndarray  # strictly increasing column indices
-    values: np.ndarray
-    dim: int
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
-
 def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
     """Fit a vocabulary: df filtering, feature cap, smooth idf.
 
@@ -205,28 +195,24 @@ def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
     return Vocabulary(term_to_index=term_to_index, idf=idf, n_docs=n_docs, config=config)
 
 
-def transform(doc: str, vocab: Vocabulary) -> SparseVector:
-    """TF-IDF weights for one document, L2-normalized (zero vectors stay zero)."""
+def transform(doc: str, vocab: Vocabulary) -> CsrMatrix:
+    """TF-IDF weights of one document as a 1 x len(vocab) row, L2-normalized
+    (a document with no vocabulary term is an empty row)."""
     counts = Counter(analyze(doc, vocab.config))
-    pairs = []
-    term_to_index = vocab.term_to_index
-    sublinear = vocab.config.sublinear_tf
-    for term, tf in counts.items():
-        index = term_to_index.get(term)
-        if index is None:
-            continue
-        weight = (1.0 + math.log(tf)) if sublinear else float(tf)
-        pairs.append((index, weight * vocab.idf[index]))
-    if not pairs:
-        return SparseVector(indices=np.empty(0, dtype=np.int64),
-                            values=np.empty(0, dtype=np.float64), dim=len(vocab))
-    pairs.sort()
-    indices = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
-    values = np.fromiter((v for _, v in pairs), dtype=np.float64, count=len(pairs))
-    norm = math.sqrt(float(np.dot(values, values)))
+    columns = np.fromiter(map(vocab.term_to_index.get, counts, repeat(-1)),
+                          dtype=np.int64, count=len(counts))
+    tf = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    known = columns >= 0
+    columns, tf = columns[known], tf[known]
+    order = np.argsort(columns)
+    columns, tf = columns[order], tf[order]
+    weights = (1.0 + np.log(tf)) if vocab.config.sublinear_tf else tf
+    weights *= vocab.idf[columns]
+    norm = math.sqrt(weights @ weights)
     if norm > 0:
-        values /= norm
-    return SparseVector(indices=indices, values=values, dim=len(vocab))
+        weights /= norm
+    return CsrMatrix(data=weights, indices=columns, indptr=np.array([0, len(columns)]),
+                     shape=(1, len(vocab)))
 
 
 @dataclass
@@ -241,7 +227,7 @@ class CombinedVectorizer:
     def save(self, path: str | Path) -> None:
         payload = {"format_version": FORMAT_VERSION,
                    "word": self.word.to_dict(), "char": self.char.to_dict()}
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
@@ -269,11 +255,24 @@ def fit_combined(corpus: list[str],
     )
 
 
-def transform_combined(doc: str, cv: CombinedVectorizer) -> SparseVector:
-    """Concatenate the word and char sub-vectors (each normalized on its own)."""
-    word_vec = transform(doc, cv.word)
-    char_vec = transform(doc, cv.char)
+def transform_batch(docs: Sequence[str], cv: CombinedVectorizer) -> CsrMatrix:
+    """The n x cv.dim TF-IDF matrix of ``docs``: each row is the document's word
+    row followed by its char row (each normalized on its own)."""
     offset = len(cv.word)
-    indices = np.concatenate([word_vec.indices, char_vec.indices + offset])
-    values = np.concatenate([word_vec.values, char_vec.values])
-    return SparseVector(indices=indices, values=values, dim=cv.dim)
+    indices: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+    for doc in docs:
+        word = transform(doc, cv.word)
+        char = transform(doc, cv.char)
+        indices += (word.indices, char.indices + offset)
+        data += (word.data, char.data)
+    part_ends = np.cumsum(np.fromiter(map(len, data), dtype=np.int64, count=len(data)))
+    indptr = np.concatenate(([0], part_ends[1::2]))
+    return CsrMatrix(data=np.concatenate(data or [np.empty(0)]),
+                     indices=np.concatenate(indices or [np.empty(0, dtype=np.int64)]),
+                     indptr=indptr, shape=(len(docs), cv.dim))
+
+
+def transform_combined(doc: str, cv: CombinedVectorizer) -> CsrMatrix:
+    """The 1 x cv.dim row of one document (see :func:`transform_batch`)."""
+    return transform_batch([doc], cv)

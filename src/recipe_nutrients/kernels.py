@@ -7,7 +7,6 @@ The ridge solver spends essentially all of its time in ``CsrMatrix.matvec``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,26 +44,6 @@ class CsrMatrix:
             start, stop = self.indptr[i], self.indptr[i + 1]
             dense[i, self.indices[start:stop]] = self.data[start:stop]
         return dense
-
-
-def stack_rows(vectors: Sequence, dim: int | None = None) -> CsrMatrix:
-    """Stack SparseVector rows into one CsrMatrix."""
-    if not vectors:
-        raise ValueError("cannot stack zero rows")
-    if dim is None:
-        dim = vectors[0].dim
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, vec in enumerate(vectors):
-        if vec.dim != dim:
-            raise ValueError(f"row {i} has dim {vec.dim}, expected {dim}")
-        indptr[i + 1] = indptr[i] + vec.nnz
-    data = np.empty(indptr[-1], dtype=np.float64)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for i, vec in enumerate(vectors):
-        start, stop = indptr[i], indptr[i + 1]
-        data[start:stop] = vec.values
-        indices[start:stop] = vec.indices
-    return CsrMatrix(data=data, indices=indices, indptr=indptr, shape=(len(vectors), dim))
 
 
 def from_dense(matrix: np.ndarray) -> CsrMatrix:

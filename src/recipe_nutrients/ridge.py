@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import SCORED_NUTRIENTS, NutrientVector
-from .features import SparseVector
-from .kernels import CsrMatrix, stack_rows
+from .kernels import CsrMatrix
+from .util import atomic_write
 
 MODEL_FORMAT_VERSION = 1
 
@@ -102,17 +102,16 @@ def _cg_solve(apply_op, rhs: np.ndarray, tol: float, max_iterations: int) -> tup
     return z, math.sqrt(rs) <= tol * rhs_norm, math.sqrt(rs) / rhs_norm
 
 
-def train(rows: Sequence[SparseVector] | CsrMatrix,
+def train(matrix: CsrMatrix,
           labels: Sequence[NutrientVector],
           targets: Sequence[str] = SCORED_NUTRIENTS,
           config: RidgeConfig = RidgeConfig()) -> RidgeModel:
-    """Fit one ridge weight vector per target over the sparse rows.
+    """Fit one ridge weight vector per target over the rows of ``matrix``.
 
     Minimizes ||X w + b - y||^2 + alpha ||w||^2 per target (b unpenalized when
     fit_intercept). Non-convergence is recorded as a model warning, not an
     error: the normal-equations system is positive definite.
     """
-    matrix = rows if isinstance(rows, CsrMatrix) else stack_rows(rows)
     n, d = matrix.shape
     if n != len(labels):
         raise ValueError(f"got {n} rows but {len(labels)} labels")
@@ -164,20 +163,20 @@ def train(rows: Sequence[SparseVector] | CsrMatrix,
                       feature_dim=d, config=config, warnings=warnings)
 
 
-def predict_raw(model: RidgeModel, x: SparseVector) -> dict[str, float]:
-    """Unclamped per-target linear outputs dot(w, x) + intercept."""
-    if x.dim != model.feature_dim:
-        raise ValueError(f"vector dim {x.dim} does not match model dim {model.feature_dim}")
-    raw = model.weights[:, x.indices] @ x.values + model.intercepts
+def predict_raw(model: RidgeModel, x: CsrMatrix) -> dict[str, float]:
+    """Unclamped per-target linear outputs dot(w, x) + intercept for a one-row matrix."""
+    if x.shape != (1, model.feature_dim):
+        raise ValueError(f"expected one row of dim {model.feature_dim}, got shape {x.shape}")
+    raw = model.weights[:, x.indices] @ x.data + model.intercepts
     return {target: float(value) for target, value in zip(model.targets, raw)}
 
 
-def predict_values(model: RidgeModel, x: SparseVector) -> dict[str, float]:
+def predict_values(model: RidgeModel, x: CsrMatrix) -> dict[str, float]:
     """Per-target predictions clamped at zero from below."""
     return {target: max(0.0, value) for target, value in predict_raw(model, x).items()}
 
 
-def predict(model: RidgeModel, x: SparseVector) -> NutrientPrediction:
+def predict(model: RidgeModel, x: CsrMatrix) -> NutrientPrediction:
     values = predict_values(model, x)
     try:
         return NutrientPrediction(**{name: values[name] for name in SCORED_NUTRIENTS})
@@ -209,7 +208,7 @@ def _decode(text: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def save_model(model: RidgeModel, path: str | Path) -> None:
-    """Write a versioned model container; arrays are base64 float64 (bit-exact)."""
+    """Write a versioned model container, atomically; arrays are base64 float64 (bit-exact)."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "targets": model.targets,
@@ -220,7 +219,7 @@ def save_model(model: RidgeModel, path: str | Path) -> None:
         "vectorizer_fingerprint": model.vectorizer_fingerprint,
         "warnings": model.warnings,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
 
 

@@ -1,11 +1,13 @@
-"""Small shared helpers: decimal formatting and json-lines I/O."""
+"""Small shared helpers: decimal formatting, atomic file writes and json-lines I/O."""
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, TextIO
 
 
 def format_decimal(value: float, places: int = 2) -> str:
@@ -52,10 +54,30 @@ def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]
     return rows
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open a text file that replaces ``path`` only once the block completes.
+
+    The text goes to a temporary file in the same directory, which is synced
+    and then renamed over ``path`` with ``os.replace``; if the block raises,
+    the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def dump_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
-    """Write dict rows as json-lines. Returns the number of rows written."""
+    """Write dict rows as json-lines, atomically. Returns the number of rows written."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False))
             fh.write("\n")

@@ -198,7 +198,7 @@ def test_criterion_4_tfidf_matches_hand_computation():
 
         vec = transform("olive oil oil corn", vocab)
         by_term = {term: 0.0 for term in vocab.term_to_index}
-        for index, value in zip(vec.indices, vec.values):
+        for index, value in zip(vec.indices, vec.data):
             term = next(t for t, i in vocab.term_to_index.items() if i == int(index))
             by_term[term] = float(value)
         for term, expected in ORACLE_TRANSFORM.items():

@@ -75,16 +75,6 @@ class TestTrainPredictEvaluate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_transform_matches_sequential(self, trained_pipeline, tmp_path, capsys):
-        seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-        assert run("predict", "--model", str(trained_pipeline["model"]),
-                   "--in", str(trained_pipeline["val"]), "--out", str(seq)) == 0
-        assert run("predict", "--model", str(trained_pipeline["model"]),
-                   "--in", str(trained_pipeline["val"]), "--out", str(par),
-                   "--workers", "3") == 0
-        capsys.readouterr()
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_evaluate_reports_scores(self, trained_pipeline, tmp_path, capsys):
         preds_path = tmp_path / "preds.jsonl"
         run("predict", "--model", str(trained_pipeline["model"]),

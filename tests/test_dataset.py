@@ -234,3 +234,10 @@ class TestCanonicalDump:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="record 0"):
             load_samples(path)
+
+    def test_duplicate_id_names_file_and_record(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        save_samples(path, [RecipeSample(id=i, ingredient_text=f"{n} eggs")
+                            for n, i in enumerate(["a", "b", "c", "b"])])
+        with pytest.raises(ValueError, match=r"dump\.jsonl: record 3 has duplicate id 'b'"):
+            load_samples(path)

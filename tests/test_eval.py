@@ -215,3 +215,10 @@ class TestPredictionFiles:
         path.write_text('{"id": "a", "fat": 1}\n')
         with pytest.raises(ValueError, match="record 0"):
             load_predictions(path)
+
+    def test_duplicate_id_names_file_and_record(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        row = {"fat": 1, "protein": 2, "saturates": 0.5, "sugars": 3}
+        path.write_text("".join(json.dumps({"id": i, **row}) + "\n" for i in ("a", "b", "a")))
+        with pytest.raises(ValueError, match=r"preds\.jsonl: record 2 has duplicate id 'a'"):
+            load_predictions(path)

@@ -1,18 +1,23 @@
 import json
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from recipe_nutrients.features import (
     CombinedVectorizer,
     VectorizerConfig,
+    analyze,
     char_config,
     char_wb_ngrams,
     fit,
     fit_combined,
     tokenize_words,
     transform,
+    transform_batch,
     transform_combined,
     word_config,
 )
@@ -132,12 +137,12 @@ class TestTransform:
     def test_out_of_vocabulary_doc_is_zero(self):
         vocab = fit(["aa bb", "aa cc"], wcfg())
         vec = transform("zz yy", vocab)
-        assert vec.nnz == 0 and vec.dim == 3
+        assert vec.nnz == 0 and vec.shape == (1, 3)
 
     def test_single_term_is_unit(self):
         vocab = fit(["aa bb", "aa cc"], wcfg())
         vec = transform("bb", vocab)
-        assert vec.values.tolist() == [1.0]
+        assert vec.data.tolist() == [1.0]
 
     def test_frozen_weights(self):
         # oracle: weights before norm {aa: 1*1.0, bb: (1+ln 2) * (ln(3/2)+1)}
@@ -146,20 +151,20 @@ class TestTransform:
         expected = {vocab.term_to_index["aa"]: 0.3874113305052739,
                     vocab.term_to_index["bb"]: 0.9219069698164416}
         assert vec.nnz == 2
-        for index, value in zip(vec.indices, vec.values):
+        for index, value in zip(vec.indices, vec.data):
             assert value == pytest.approx(expected[int(index)], abs=1e-12)
 
     def test_norm_is_one_or_zero(self):
         vocab = fit(["aa bb cc", "bb cc dd", "ee ff"], wcfg())
         for doc in ["aa bb", "ee", "zz", "aa aa bb cc dd ee ff"]:
-            norm = transform(doc, vocab).norm()
+            norm = np.linalg.norm(transform(doc, vocab).data)
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
 
     def test_deterministic(self):
         vocab = fit(["aa bb", "aa cc"], wcfg())
         a, b = transform("aa bb", vocab), transform("aa bb", vocab)
         assert a.indices.tolist() == b.indices.tolist()
-        assert a.values.tolist() == b.values.tolist()
+        assert a.data.tolist() == b.data.tolist()
 
     def test_indices_strictly_increasing(self):
         vocab = fit(["aa bb cc dd ee", "bb dd"], wcfg())
@@ -182,7 +187,7 @@ class TestCombined:
         cv = fit_combined(["olive oil", "corn oil", "butter, raw"],
                           word_config(min_df=1), char_config(min_df=1))
         for doc in ["olive oil", "zzqq", "butter", "olive zzqq"]:
-            sq = transform_combined(doc, cv).norm() ** 2
+            sq = np.linalg.norm(transform_combined(doc, cv).data) ** 2
             assert min(abs(sq - k) for k in (0.0, 1.0, 2.0)) < 1e-9
 
     def test_char_block_offset(self):
@@ -196,6 +201,44 @@ class TestCombined:
         cv = fit_combined(["olive oil and corn", "corn oil, raw", "butter and salt"],
                           word_config(min_df=1), char_config(min_df=1))
         assert cv.dim <= 8000 + 12000
+
+
+# "qx" and "zz" share no word or char gram with the fitted corpus, so a document
+# made only of them is an empty row
+PROPERTY_CV = fit_combined(["olive oil", "corn oil, raw", "butter and corn"],
+                           word_config(min_df=1), char_config(min_df=1))
+PROPERTY_WORDS = ["olive", "oil", "Oil,", "corn", "raw", "butter", "and", "of", "qx", "zz"]
+
+
+def dense_tfidf(doc, vocab):
+    """Reference row: TF-IDF from the term counts, one dense column per vocabulary term."""
+    row = np.zeros(len(vocab))
+    for term, tf in Counter(analyze(doc, vocab.config)).items():
+        if term in vocab.term_to_index:
+            weight = 1.0 + math.log(tf) if vocab.config.sublinear_tf else float(tf)
+            row[vocab.term_to_index[term]] = weight * vocab.idf[vocab.term_to_index[term]]
+    norm = np.linalg.norm(row)
+    return row / norm if norm > 0 else row
+
+
+@given(st.lists(st.lists(st.sampled_from(PROPERTY_WORDS), max_size=8).map(" ".join), max_size=6))
+@example([])
+@example(["", "qx zz", "olive oil oil"])  # empty rows first, an in-vocabulary row last
+@example(["corn", "zz", "zz qx"])  # empty rows in the middle and at the end
+def test_batch_matches_stacked_rows_and_dense_reference(docs):
+    cv = PROPERTY_CV
+    matrix = transform_batch(docs, cv)
+    rows = [transform_combined(doc, cv) for doc in docs]
+    assert matrix.shape == (len(docs), cv.dim)
+    assert matrix.indptr.tolist() == np.cumsum([0] + [r.nnz for r in rows]).tolist()
+    for i, row in enumerate(rows):
+        start, stop = matrix.indptr[i], matrix.indptr[i + 1]
+        assert matrix.indices[start:stop].tolist() == row.indices.tolist()
+        assert matrix.data[start:stop].tolist() == row.data.tolist()
+        assert np.all(np.diff(row.indices) > 0)
+    dense = np.array([np.concatenate([dense_tfidf(d, cv.word), dense_tfidf(d, cv.char)])
+                      for d in docs]).reshape(len(docs), cv.dim)
+    np.testing.assert_allclose(matrix.toarray(), dense, rtol=0, atol=1e-12)
 
 
 class TestSerialization:
@@ -218,7 +261,7 @@ class TestSerialization:
         a = transform_combined("corn oil", cv)
         b = transform_combined("corn oil", loaded)
         assert a.indices.tolist() == b.indices.tolist()
-        assert a.values.tolist() == b.values.tolist()
+        assert a.data.tolist() == b.data.tolist()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "vocab.json"

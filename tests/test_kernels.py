@@ -3,8 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from recipe_nutrients.features import SparseVector
-from recipe_nutrients.kernels import from_dense, stack_rows
+from recipe_nutrients.kernels import from_dense
 
 
 def random_sparse(rng, rows, cols, density=0.2, empty_rows=()):
@@ -72,32 +71,6 @@ def test_products_match_dense_toarray(problem):
     # at most 9 terms of size <= 1e4 each: float64 rounding stays far below 1e-9
     np.testing.assert_allclose(matrix.matvec(x), matrix.toarray() @ x, rtol=1e-12, atol=1e-9)
     np.testing.assert_allclose(matrix.rmatvec(y), matrix.toarray().T @ y, rtol=1e-12, atol=1e-9)
-
-
-def test_stack_rows_round_trips_dense():
-    vectors = [
-        SparseVector(indices=np.array([0, 2]), values=np.array([1.0, 2.0]), dim=4),
-        SparseVector(indices=np.array([], dtype=np.int64), values=np.array([]), dim=4),
-        SparseVector(indices=np.array([3]), values=np.array([5.0]), dim=4),
-    ]
-    matrix = stack_rows(vectors)
-    expected = np.array([[1.0, 0, 2.0, 0], [0, 0, 0, 0], [0, 0, 0, 5.0]])
-    assert np.array_equal(matrix.toarray(), expected)
-    assert matrix.shape == (3, 4)
-
-
-def test_stack_rows_rejects_mixed_dims():
-    vectors = [
-        SparseVector(indices=np.array([0]), values=np.array([1.0]), dim=4),
-        SparseVector(indices=np.array([0]), values=np.array([1.0]), dim=5),
-    ]
-    with pytest.raises(ValueError, match="dim"):
-        stack_rows(vectors)
-
-
-def test_stack_rows_rejects_empty():
-    with pytest.raises(ValueError):
-        stack_rows([])
 
 
 def test_from_dense_round_trip():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from recipe_nutrients.dataset import NutrientVector
-from recipe_nutrients.features import SparseVector
 from recipe_nutrients.kernels import from_dense
 from recipe_nutrients.ridge import (
     NutrientPrediction,
@@ -43,7 +42,9 @@ def closed_form_with_intercept(X, y, alpha):
 
 
 def sparse_unit(j, dim, value=1.0):
-    return SparseVector(indices=np.array([j]), values=np.array([value]), dim=dim)
+    row = np.zeros((1, dim))
+    row[0, j] = value
+    return from_dense(row)
 
 
 class TestTrain:
@@ -59,8 +60,7 @@ class TestTrain:
         model = train(from_dense(X), labels_for(y), ["fat"],
                       RidgeConfig(alpha=1e12, fit_intercept=True, solver_tol=1e-12))
         for i in range(5):
-            vec = SparseVector(indices=np.arange(4), values=X[i], dim=4)
-            assert predict_raw(model, vec)["fat"] == pytest.approx(y.mean(), abs=1e-3)
+            assert predict_raw(model, from_dense(X[i:i + 1]))["fat"] == pytest.approx(y.mean(), abs=1e-3)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(1)
@@ -146,8 +146,7 @@ class TestPredict:
 
     def test_zero_vector_returns_intercepts(self):
         model = self.make_model(np.zeros((4, 3)), [1, 2, 3, 4])
-        vec = SparseVector(indices=np.array([], dtype=np.int64), values=np.array([]), dim=3)
-        assert predict(model, vec) == NutrientPrediction(fat=1, protein=2, saturates=3, sugars=4)
+        assert predict(model, from_dense(np.zeros((1, 3)))) == NutrientPrediction(fat=1, protein=2, saturates=3, sugars=4)
 
     def test_negative_output_clamped(self):
         model = self.make_model(np.full((4, 2), -0.5), [0, 0, 0, 0])
@@ -177,9 +176,7 @@ class TestPredict:
         model = self.make_model(rng.normal(size=(4, 4)), rng.normal(size=4))
         batch = predict_batch(model, from_dense(X))
         for i in range(10):
-            cols = np.nonzero(X[i])[0]
-            vec = SparseVector(indices=cols, values=X[i][cols], dim=4)
-            single = predict(model, vec)
+            single = predict(model, from_dense(X[i:i + 1]))
             assert batch[i][0] == pytest.approx(single.fat, abs=1e-12)
             assert batch[i][3] == pytest.approx(single.sugars, abs=1e-12)
 
