@@ -9,6 +9,7 @@ and produces deterministic train/validation splits.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -132,24 +133,62 @@ def extract_ingredients(prompt: str) -> str:
     return prompt.strip()
 
 
-_NUMBER = r"(\d+(?:\.\d+)?)"
+class ParseError(ValueError):
+    """Text did not contain the required nutrient values."""
+
+
+# Words that, put before a key, name another quantity ("saturated fat" is not fat).
+_KEY_QUALIFIERS = frozenset({"saturated", "unsaturated", "monounsaturated", "polyunsaturated",
+                             "trans", "added"})
+
+# what may not follow a number, as it would have been read cut short: "1e",
+# "1.e5", "1.2.3"
+_TRUNCATED = re.compile(r"\.?[\deE]")
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_pattern(keys: tuple[str, ...]) -> re.Pattern:
+    # "key - number": the word before the key, if any, is captured so that a
+    # qualified key can be told apart; a key joined to a word before it
+    # ("low-fat", "xfat") is no key. The number may carry an exponent.
+    return re.compile(
+        rf"(?:\b([a-z]+)\s+)?(?<![\w-])({'|'.join(keys)})\s*-\s*"
+        r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)",
+        flags=re.IGNORECASE)
+
+
+def scan_nutrient_pairs(text: str, keys: tuple[str, ...]) -> dict[str, float]:
+    """Read one value per key from "key - number" pairs in free text, any order.
+
+    Keys are case-insensitive; a key qualified by a word such as "saturated"
+    is skipped. A key repeated with another value, a missing key, or a number
+    that would have to be cut short to be read or overflows raises ParseError
+    rather than yield a guess.
+    """
+    values: dict[str, float] = {}
+    for match in _pair_pattern(keys).finditer(text):
+        qualifier, key, number = match.groups()
+        if qualifier is not None and qualifier.lower() in _KEY_QUALIFIERS:
+            continue
+        if _TRUNCATED.match(text, match.end()):
+            raise ParseError(f"malformed number after {key!r}: {text[match.start(3):][:20]!r}")
+        key, value = key.lower(), float(number)
+        if not math.isfinite(value):
+            raise ParseError(f"{key!r} is out of range: {number[:20]!r}")
+        if values.setdefault(key, value) != value:
+            raise ParseError(f"text gives {key!r} twice with different values: {text[:120]!r}")
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise ParseError(f"text is missing nutrient keys {missing}: {text[:120]!r}")
+    return values
 
 
 def parse_answer(answer: str) -> NutrientVector:
-    """Parse "name - value" pairs for the six nutrients out of an answer string.
+    """Parse the six nutrient labels out of an answer string.
 
-    Each key must appear exactly once (case-insensitive, any order, prose
-    around the pairs is tolerated).
+    Uses the same "key - number" rules as model output (:func:`scan_nutrient_pairs`).
     """
-    values: dict[str, float] = {}
-    for name in NUTRIENT_NAMES:
-        matches = re.findall(rf"\b{name}\s*-\s*{_NUMBER}", answer, flags=re.IGNORECASE)
-        if len(matches) == 0:
-            raise ValueError(f"answer is missing nutrient key {name!r}: {answer[:80]!r}")
-        if len(matches) > 1:
-            raise ValueError(f"answer repeats nutrient key {name!r}: {answer[:80]!r}")
-        values[name] = float(matches[0])
-    return NutrientVector(**values)
+    return NutrientVector(**scan_nutrient_pairs(answer, NUTRIENT_NAMES))
 
 
 def render_answer(v: NutrientVector) -> str:

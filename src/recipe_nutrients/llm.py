@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import os
-import re
 import threading
 import time
 import weakref
@@ -27,6 +26,7 @@ from typing import Mapping, Sequence
 
 import requests
 
+from .dataset import ParseError, scan_nutrient_pairs
 from .ridge import NutrientPrediction
 from .util import format_decimal, load_jsonl, parse_jsonl
 
@@ -72,16 +72,10 @@ class EndpointError(RuntimeError):
         self.status = status
 
 
-class ParseError(ValueError):
-    """Model output did not contain the required nutrient values."""
-
-
 @dataclass(frozen=True)
 class ChatRequest:
     system: str
     messages: tuple[dict, ...]  # alternating user/assistant, final user
-    temperature: float = 0.0
-    max_tokens: int = 256
 
     def __post_init__(self) -> None:
         if not self.system:
@@ -92,16 +86,16 @@ class ChatRequest:
             expected = "user" if i % 2 == 0 else "assistant"
             if message["role"] != expected:
                 raise ValueError(f"messages must alternate user/assistant (message {i})")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     def to_payload(self, model_name: str) -> dict:
+        # fixed sampling settings; they are part of request_hash, so cached
+        # transcripts replay only while these bytes stay the same
         return {
             "model": model_name,
             "messages": [{"role": "system", "content": self.system},
                          *({"role": m["role"], "content": m["content"]} for m in self.messages)],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": 256,
         }
 
 
@@ -154,8 +148,7 @@ def render_prediction_line(pred: NutrientPrediction) -> str:
     return f"Nutrient values per 100 g: {parts}"
 
 
-def render_direct_prompt(ingredient_text: str, bank: FewShotBank,
-                         temperature: float = 0.0, max_tokens: int = 256) -> ChatRequest:
+def render_direct_prompt(ingredient_text: str, bank: FewShotBank) -> ChatRequest:
     """Few-shot direct-inference request; exemplars become worked turns."""
     if not ingredient_text.strip():
         raise ValueError("ingredient_text must be non-empty")
@@ -164,12 +157,10 @@ def render_direct_prompt(ingredient_text: str, bank: FewShotBank,
         messages.append({"role": "user", "content": f"[INST] {text} [/INST]"})
         messages.append({"role": "assistant", "content": render_prediction_line(pred)})
     messages.append({"role": "user", "content": f"[INST] {ingredient_text} [/INST]"})
-    return ChatRequest(system=DIRECT_SYSTEM_PROMPT, messages=tuple(messages),
-                       temperature=temperature, max_tokens=max_tokens)
+    return ChatRequest(system=DIRECT_SYSTEM_PROMPT, messages=tuple(messages))
 
 
-def render_refine_prompt(ingredient_text: str, pred: NutrientPrediction,
-                         temperature: float = 0.0, max_tokens: int = 256) -> ChatRequest:
+def render_refine_prompt(ingredient_text: str, pred: NutrientPrediction) -> ChatRequest:
     """Refinement request: the text plus current predictions, JSON answer."""
     user = REFINE_USER_TEMPLATE.format(
         text=ingredient_text,
@@ -178,9 +169,7 @@ def render_refine_prompt(ingredient_text: str, pred: NutrientPrediction,
         sugars=format_decimal(pred.sugars),
         saturates=format_decimal(pred.saturates),
     )
-    return ChatRequest(system=REFINE_SYSTEM_PROMPT,
-                       messages=({"role": "user", "content": user},),
-                       temperature=temperature, max_tokens=max_tokens)
+    return ChatRequest(system=REFINE_SYSTEM_PROMPT, messages=({"role": "user", "content": user},))
 
 
 def request_hash(req: ChatRequest, ep: EndpointConfig) -> str:
@@ -328,44 +317,9 @@ def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
     return results
 
 
-# Words that, put before a key, name another quantity ("saturated fat" is not fat).
-_KEY_QUALIFIERS = frozenset({"saturated", "unsaturated", "monounsaturated", "polyunsaturated",
-                             "trans", "added"})
-
-# "key - number": the word before the key, if any, is captured so that a
-# qualified key can be told apart; a key joined to a word before it
-# ("low-fat", "xfat") is no key. The number may carry an exponent.
-_PAIR = re.compile(
-    rf"(?:\b([a-z]+)\s+)?(?<![\w-])({'|'.join(PREDICTION_KEYS)})\s*-\s*"
-    r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)",
-    flags=re.IGNORECASE)
-# what may not follow a number, as it would have been read cut short: "1e",
-# "1.e5", "1.2.3"
-_TRUNCATED = re.compile(r"\.?[\deE]")
-
-
 def parse_llm_nutrients(text: str) -> NutrientPrediction:
-    """Scan free text for the four "key - number" pairs, any order.
-
-    A key repeated with another value, or a number that would have to be cut
-    short to be read or overflows, raises ParseError rather than yield a guess.
-    """
-    values: dict[str, float] = {}
-    for match in _PAIR.finditer(text):
-        qualifier, key, number = match.groups()
-        if qualifier is not None and qualifier.lower() in _KEY_QUALIFIERS:
-            continue
-        if _TRUNCATED.match(text, match.end()):
-            raise ParseError(f"malformed number after {key!r}: {text[match.start(3):][:20]!r}")
-        key, value = key.lower(), float(number)
-        if not math.isfinite(value):
-            raise ParseError(f"{key!r} is out of range: {number[:20]!r}")
-        if values.setdefault(key, value) != value:
-            raise ParseError(f"output gives {key!r} twice with different values: {text[:120]!r}")
-    missing = [key for key in PREDICTION_KEYS if key not in values]
-    if missing:
-        raise ParseError(f"output is missing nutrient keys {missing}: {text[:120]!r}")
-    return NutrientPrediction(**values)
+    """Scan free text for the four "key - number" pairs (see dataset.scan_nutrient_pairs)."""
+    return NutrientPrediction(**scan_nutrient_pairs(text, PREDICTION_KEYS))
 
 
 def _first_json_object(text: str) -> dict:

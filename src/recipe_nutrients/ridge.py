@@ -171,15 +171,11 @@ def predict_raw(model: RidgeModel, x: CsrMatrix) -> dict[str, float]:
     return {target: float(value) for target, value in zip(model.targets, raw)}
 
 
-def predict_values(model: RidgeModel, x: CsrMatrix) -> dict[str, float]:
-    """Per-target predictions clamped at zero from below."""
-    return {target: max(0.0, value) for target, value in predict_raw(model, x).items()}
-
-
 def predict(model: RidgeModel, x: CsrMatrix) -> NutrientPrediction:
-    values = predict_values(model, x)
+    """The scored nutrients for a one-row matrix, clamped at zero from below."""
+    values = predict_raw(model, x)
     try:
-        return NutrientPrediction(**{name: values[name] for name in SCORED_NUTRIENTS})
+        return NutrientPrediction(**{name: max(0.0, values[name]) for name in SCORED_NUTRIENTS})
     except KeyError as exc:
         raise KeyError(f"model lacks scored target {exc}; targets: {model.targets}") from exc
 

@@ -21,10 +21,6 @@ def format_decimal(value: float, places: int = 2) -> str:
     return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def round_half_up(value: float, places: int = 2) -> float:
-    return float(format_decimal(value, places))
-
-
 def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
     """Read a json-lines file, skipping blank lines.
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 from conftest import make_raw_rows, write_jsonl
 
@@ -235,3 +237,13 @@ class TestConfigDefaults:
         assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
                    "--out", str(out_dir), "--ratio", "0.9") == 0
         assert "0.9" in capsys.readouterr().out
+
+
+def test_cli_imports_every_module():
+    # a module that no pipeline stage imports is dead code
+    script = ("import pkgutil, sys, recipe_nutrients, recipe_nutrients.cli\n"
+              "print(' '.join(m.name for m in pkgutil.iter_modules(recipe_nutrients.__path__)\n"
+              "               if f'recipe_nutrients.{m.name}' not in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.split() == []

@@ -122,6 +122,25 @@ class TestParseAnswer:
         v = parse_answer("Sugars - 1, SATURATES - 2, salt - 3, Protein - 4, FAT - 5, energy - 6")
         assert v == vector(6, 5, 4, 3, 2, 1)
 
+    def test_exponent_read_in_full(self):
+        v = parse_answer("energy - 1, fat - 1e1, protein - 1, salt - 1, saturates - 1, sugars - 1")
+        assert v.fat == 10.0
+
+    def test_number_never_read_cut_short(self):
+        with pytest.raises(ValueError, match="fat"):
+            parse_answer("energy - 1, fat - 9.86.5, protein - 1, salt - 1, saturates - 1, "
+                         "sugars - 1")
+
+    def test_saturated_fat_is_not_fat(self):
+        with pytest.raises(ValueError, match="missing.*fat"):
+            parse_answer("energy - 1, saturated fat - 2, protein - 1, salt - 1, saturates - 1, "
+                         "sugars - 1")
+
+    def test_hyphenated_compound_is_not_a_key(self):
+        v = parse_answer("energy - 1, low-fat - 2, protein - 1, salt - 1, saturates - 1, "
+                         "sugars - 1, fat - 4")
+        assert v.fat == 4.0
+
 
 class TestRenderAnswer:
     def test_zero_vector(self):

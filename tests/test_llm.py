@@ -400,6 +400,17 @@ class TestTranscriptCache:
         assert request_hash(a, ep) != request_hash(b, ep)
         assert request_hash(a, ep) == request_hash(a, ep)
 
+    def test_hash_is_stable_across_releases(self):
+        # digests of earlier releases: a change here orphans every cached transcript
+        ep = EndpointConfig(base_url="http://x/v1", model_name="m")
+        direct = render_direct_prompt("1 cup oats", FewShotBank.default())
+        refine_req = render_refine_prompt("1 cup oats",
+                                          pred(fat=1, protein=2, saturates=3, sugars=4))
+        assert request_hash(direct, ep) == (
+            "sha256:7b3e0525d5719f57a72396683e3025968b685d8fa3a897e9e43d99840e0d8e4c")
+        assert request_hash(refine_req, ep) == (
+            "sha256:5e0e9dfebcac878ec49784a92396b988c63dece2937f50026ab2f13c466b2207")
+
 
 class TestCompleteMany:
     def test_failures_yield_none(self, endpoint_stub):
