@@ -1,4 +1,5 @@
-"""Small shared helpers: decimal formatting, atomic file writes and json-lines I/O."""
+"""Small shared helpers: decimal formatting, recipe quantities, atomic file writes and
+json-lines I/O."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 import os
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -19,6 +21,29 @@ def format_decimal(value: float, places: int = 2) -> str:
     """
     quantum = Decimal(1).scaleb(-places)
     return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+def parse_quantity(token: str) -> Fraction:
+    """Parse an integer, decimal, fraction "a/b", or mixed number "a b/c"."""
+    parts = token.split()
+    if len(parts) == 2:
+        return parse_quantity(parts[0]) + parse_quantity(parts[1])
+    if len(parts) != 1:
+        raise ValueError(f"cannot parse quantity {token!r}")
+    text = parts[0]
+    if "/" in text:
+        num_text, _, den_text = text.partition("/")
+        try:
+            num, den = int(num_text), int(den_text)
+        except ValueError as exc:
+            raise ValueError(f"cannot parse fraction {text!r}") from exc
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
+    try:
+        return Fraction(text)  # handles "2" and "2.5" exactly
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse quantity {text!r}") from exc
 
 
 def load_jsonl(path: str | Path) -> list[dict[str, Any]]:

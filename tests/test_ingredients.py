@@ -2,18 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from recipe_nutrients.ingredients import (
-    ConversionTable,
-    parse_ingredient,
-    parse_quantity,
-    recipe_mass,
-    to_grams,
-)
-
-
-@pytest.fixture(scope="module")
-def table():
-    return ConversionTable.default()
+from recipe_nutrients.util import parse_quantity
 
 
 class TestParseQuantity:
@@ -34,97 +23,3 @@ class TestParseQuantity:
     def test_non_numeric(self):
         with pytest.raises(ValueError):
             parse_quantity("handful")
-
-
-class TestParseIngredient:
-    def test_tablespoon_line(self):
-        parsed = parse_ingredient("2 tablespoon soy sauce made from soy (tamari)")
-        assert parsed.quantity == 2
-        assert parsed.unit == "tablespoon"
-        assert parsed.name == "soy sauce made from soy (tamari)"
-
-    def test_fraction_cup_line(self):
-        parsed = parse_ingredient("1/2 cup butter, without salt")
-        assert (parsed.quantity, parsed.unit, parsed.name) == (
-            Fraction(1, 2), "cup", "butter, without salt")
-
-    def test_bare_name_falls_back(self):
-        parsed = parse_ingredient("salt")
-        assert (parsed.quantity, parsed.unit, parsed.name) == (Fraction(1), "unit", "salt")
-
-    def test_mixed_number(self):
-        parsed = parse_ingredient("1 1/2 cups wheat flour")
-        assert (parsed.quantity, parsed.unit, parsed.name) == (
-            Fraction(3, 2), "cup", "wheat flour")
-
-    def test_a_pinch(self):
-        parsed = parse_ingredient("a pinch cinnamon")
-        assert (parsed.quantity, parsed.unit, parsed.name) == (Fraction(1), "pinch", "cinnamon")
-
-    def test_alias_normalization(self):
-        assert parse_ingredient("2 tbsp oil").unit == "tablespoon"
-        assert parse_ingredient("3 TSP sugar").unit == "teaspoon"
-        assert parse_ingredient("1 lb beef").unit == "pound"
-
-    def test_quantity_without_unit(self):
-        parsed = parse_ingredient("2 eggs")
-        assert (parsed.quantity, parsed.unit, parsed.name) == (Fraction(2), "unit", "eggs")
-
-    def test_never_empty_name(self):
-        for line in ["2", "1/2", "a", "2 cups", "x"]:
-            assert parse_ingredient(line).name != ""
-
-    def test_empty_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_ingredient("   ")
-
-
-class TestToGrams:
-    def test_cup_of_water(self, table):
-        assert to_grams(1, "cup", "water", table) == pytest.approx(236.6)
-
-    def test_tablespoon_of_butter_uses_override(self, table):
-        assert to_grams(1, "tablespoon", "butter", table) == pytest.approx(14.2)
-
-    def test_zero_quantity(self, table):
-        assert to_grams(0, "cup", "anything", table) == 0.0
-
-    def test_longest_keyword_wins(self):
-        custom = ConversionTable(
-            generic={"cup": 100.0},
-            per_ingredient={"cup": {"butter": 1.0, "peanut butter": 2.0}})
-        assert to_grams(1, "cup", "smooth peanut butter", custom) == 2.0
-
-    def test_unknown_unit_lists_known(self, table):
-        with pytest.raises(LookupError, match="cup"):
-            to_grams(1, "glorp", "slime", table)
-
-    def test_linear_in_quantity(self, table):
-        one = to_grams(Fraction(1, 3), "teaspoon", "vanilla", table)
-        two = to_grams(Fraction(2, 3), "teaspoon", "vanilla", table)
-        assert two == pytest.approx(2 * one)
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError, match="> 0"):
-            ConversionTable(generic={"cup": 0.0})
-
-
-class TestRecipeMass:
-    def test_water_plus_butter(self, table):
-        total, unresolved = recipe_mass(["1 cup water", "1 tablespoon butter"], table)
-        assert total == pytest.approx(250.8)
-        assert unresolved == []
-
-    def test_empty(self, table):
-        assert recipe_mass([], table) == (0.0, [])
-
-    def test_unknown_unit_is_unresolved_not_error(self, table):
-        total, unresolved = recipe_mass(["1 glorp slime"], table)
-        assert total == 0.0
-        assert unresolved == ["1 glorp slime"]
-
-    def test_total_is_sum_of_lines(self, table):
-        lines = ["2 cup water", "3 teaspoon honey", "1/2 tablespoon butter"]
-        total, _ = recipe_mass(lines, table)
-        parts = sum(recipe_mass([line], table)[0] for line in lines)
-        assert total == pytest.approx(parts)
