@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -80,8 +81,11 @@ def cmd_prepare(args, config: dict) -> int:
     raw = dataset.load_raw(args.infile, format=fmt)
     samples = []
     quality_flags = 0
-    for row in raw:
-        labels = dataset.parse_answer(row.answer) if row.answer else None
+    for index, row in enumerate(raw):
+        try:
+            labels = dataset.parse_answer(row.answer) if row.answer else None
+        except dataset.ParseError as exc:
+            raise ValueError(f"{args.infile}: record {index} (id {row.id!r}): {exc}") from exc
         if labels is not None and labels.saturates_exceeds_fat:
             quality_flags += 1
         samples.append(dataset.RecipeSample(
@@ -112,11 +116,39 @@ def _vectorizer_configs(args, config: dict) -> tuple[features.VectorizerConfig, 
             features.char_config(max_features=char_features))
 
 
+def _parse_alpha_grid(text: str) -> list[float]:
+    try:
+        alphas = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--alpha-grid: {exc}") from None
+    if not alphas:
+        raise ValueError("--alpha-grid: empty list")
+    for alpha in alphas:
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"--alpha-grid: every value must be finite and > 0, got {alpha!r}")
+    if len(set(alphas)) != len(alphas):
+        repeated = next(a for i, a in enumerate(alphas) if a in alphas[:i])
+        raise ValueError(f"--alpha-grid: {repeated:g} is given more than once")
+    return alphas
+
+
 def cmd_train(args, config: dict) -> int:
     targets = _parse_nutrients(_setting(args.targets, config, "train", "targets",
                                         ",".join(SCORED_NUTRIENTS)))
     tol = float(_setting(args.tol, config, "train", "tol", 1e-8))
     max_iter = int(_setting(args.max_iter, config, "train", "max_iter", 1000))
+    if args.alpha_grid is not None:
+        alphas = _parse_alpha_grid(args.alpha_grid)
+        if not args.val:
+            raise ValueError("--alpha-grid requires --val for scoring")
+        missing = [n for n in SCORED_NUTRIENTS if n not in targets]
+        if missing:
+            raise ValueError(f"--alpha-grid scoring needs the scored nutrients in --targets "
+                             f"(missing: {', '.join(missing)})")
+    else:
+        alphas = [float(_setting(args.alpha, config, "train", "alpha", 1.0))]
+    # checks the first alpha and the solver settings before any work starts
+    cfg = ridge.RidgeConfig(alpha=alphas[0], solver_tol=tol, max_iterations=max_iter)
 
     train_samples = dataset.load_samples(args.train)
     train_labels = _labeled_samples(train_samples, args.train)
@@ -130,14 +162,7 @@ def cmd_train(args, config: dict) -> int:
     matrix = features.transform_batch(texts, cv)
     labels = [train_labels[s.id] for s in train_samples]
 
-    if args.alpha_grid:
-        if not args.val:
-            raise ValueError("--alpha-grid requires --val for scoring")
-        missing = [n for n in SCORED_NUTRIENTS if n not in targets]
-        if missing:
-            raise ValueError(f"--alpha-grid scoring needs the scored nutrients in --targets "
-                             f"(missing: {', '.join(missing)})")
-        alphas = [float(a) for a in args.alpha_grid.split(",") if a.strip()]
+    if args.alpha_grid is not None:
         val_samples = dataset.load_samples(args.val)
         val_labels = _labeled_samples(val_samples, args.val)
         val_matrix = features.transform_batch([s.ingredient_text for s in val_samples], cv)
@@ -145,9 +170,8 @@ def cmd_train(args, config: dict) -> int:
         scored = list(SCORED_NUTRIENTS)
 
         best = None
-        for alpha in alphas:
-            cfg = ridge.RidgeConfig(alpha=alpha, solver_tol=tol, max_iterations=max_iter)
-            model = ridge.train(matrix, labels, targets, cfg)
+        # scored in the order given, so a tie goes to the first alpha
+        for model in ridge.train_path(matrix, labels, targets, alphas, cfg):
             batch = ridge.predict_batch(model, val_matrix)
             preds = {
                 s.id: ridge.NutrientPrediction(
@@ -156,15 +180,13 @@ def cmd_train(args, config: dict) -> int:
             }
             report = ev.evaluate(preds, val_labels, rules, nutrients=scored)
             mean_acc = sum(sc.accuracy_percent for sc in report.per_nutrient.values()) / len(scored)
-            print(f"alpha={alpha:g}: mean accuracy {mean_acc:.2f} "
+            print(f"alpha={model.config.alpha:g}: mean accuracy {mean_acc:.2f} "
                   f"({', '.join(f'{n} {sc.accuracy_percent:.2f}' for n, sc in report.per_nutrient.items())})")
             if best is None or mean_acc > best[0]:
-                best = (mean_acc, alpha, model)
-        _, alpha, model = best
-        print(f"selected alpha={alpha:g}")
+                best = (mean_acc, model)
+        model = best[1]
+        print(f"selected alpha={model.config.alpha:g}")
     else:
-        alpha = float(_setting(args.alpha, config, "train", "alpha", 1.0))
-        cfg = ridge.RidgeConfig(alpha=alpha, solver_tol=tol, max_iterations=max_iter)
         model = ridge.train(matrix, labels, targets, cfg)
 
     for warning in model.warnings:

@@ -14,7 +14,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -219,31 +219,39 @@ def transform(doc: str, vocab: Vocabulary) -> CsrMatrix:
 class CombinedVectorizer:
     word: Vocabulary
     char: Vocabulary
+    # the file bytes that save writes or load read, kept once known
+    _file_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.word) + len(self.char)
 
+    def _contents(self) -> bytes:
+        """The vectorizer file's contents (utf-8 json)."""
+        if self._file_bytes is None:
+            payload = {"format_version": FORMAT_VERSION,
+                       "word": self.word.to_dict(), "char": self.char.to_dict()}
+            self._file_bytes = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        return self._file_bytes
+
     def save(self, path: str | Path) -> None:
-        payload = {"format_version": FORMAT_VERSION,
-                   "word": self.word.to_dict(), "char": self.char.to_dict()}
         with atomic_write(path) as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+            fh.write(self._contents().decode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "CombinedVectorizer":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            file_bytes = fh.read()
+        raw = json.loads(file_bytes)
         if raw.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported vectorizer format version {raw.get('format_version')!r}")
-        return cls(word=Vocabulary.from_dict(raw["word"]), char=Vocabulary.from_dict(raw["char"]))
+        cv = cls(word=Vocabulary.from_dict(raw["word"]), char=Vocabulary.from_dict(raw["char"]))
+        cv._file_bytes = file_bytes
+        return cv
 
     def fingerprint(self) -> str:
-        payload = {"word": self.word.to_dict(), "char": self.char.to_dict()}
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        ).hexdigest()
-        return f"sha256:{digest}"
+        """sha256 of the vectorizer file's bytes."""
+        return f"sha256:{hashlib.sha256(self._contents()).hexdigest()}"
 
 
 def fit_combined(corpus: list[str],

@@ -36,7 +36,9 @@ class CsrMatrix:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """z = A.T @ y, scattered with bincount."""
         weights = self.data * np.repeat(y, np.diff(self.indptr))
-        return np.bincount(self.indices, weights=weights, minlength=self.shape[1])
+        # bincount of nothing is int64 even with weights; keep float64 for nnz = 0
+        return np.bincount(self.indices, weights=weights,
+                           minlength=self.shape[1]).astype(np.float64, copy=False)
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.float64)

@@ -1,8 +1,9 @@
 """Multi-target ridge regression over sparse features.
 
-Each target is solved independently on the regularized normal equations with
-conjugate gradients; the intercept rides along as an appended, unpenalized
-bias coordinate so the design matrix is never densified or centered.
+Each target is solved on the regularized normal equations of the column-centred
+design matrix with conjugate gradients; the centring is implicit, so the sparse
+matrix is never densified, and the unpenalized intercept follows from the means.
+One multi-shift CG sequence per target solves a whole grid of penalties.
 Predictions clamp at zero because nutrient quantities cannot be negative.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from .dataset import SCORED_NUTRIENTS, NutrientVector
 from .kernels import CsrMatrix
 from .util import atomic_write
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,10 @@ class RidgeConfig:
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ValueError(f"solver_tol must be finite and > 0, got {self.solver_tol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -63,6 +64,14 @@ class NutrientPrediction:
         return cls(**{name: float(d[name]) for name in SCORED_NUTRIENTS})
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """How CG ended for one target at the model's alpha."""
+
+    iterations: int
+    relative_residual: float
+
+
 @dataclass
 class RidgeModel:
     targets: list[str]
@@ -72,6 +81,7 @@ class RidgeModel:
     config: RidgeConfig
     vectorizer_fingerprint: str | None = None
     warnings: list[str] = field(default_factory=list)
+    solver_stats: dict[str, SolverStats] = field(default_factory=dict)
 
     def target_index(self, name: str) -> int:
         try:
@@ -80,87 +90,124 @@ class RidgeModel:
             raise KeyError(f"model has no target {name!r}; targets: {self.targets}") from None
 
 
-def _cg_solve(apply_op, rhs: np.ndarray, tol: float, max_iterations: int) -> tuple[np.ndarray, bool, float]:
-    """Conjugate gradients on an SPD operator; returns (solution, converged, rel_residual)."""
+def _multishift_cg(apply_op, rhs: np.ndarray, shifts: Sequence[float], tol: float,
+                   max_iterations: int) -> tuple[np.ndarray, list[int], list[float]]:
+    """Solve ``(A + s I) z = rhs`` for every shift ``s >= 0`` from one CG sequence on ``A``.
+
+    CG runs on the system whose shift is 0. The residual of every shifted
+    system stays collinear with the base residual, ``r_s = zeta_s r``, so each
+    shifted iterate and direction follows from scalar recurrences (Jegerlehner,
+    hep-lat/9612014). A system stops updating once ``|zeta_s| ||r|| <= tol
+    ||rhs||``. Returns the solutions (one row per shift), and for each shift
+    the iterations it took and its final relative residual.
+    """
+    k = len(shifts)
+    z = np.zeros((k, len(rhs)), dtype=np.float64)
+    iterations = [0] * k
+    residuals = [0.0] * k
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), True, 0.0
-    z = np.zeros_like(rhs)
+        return z, iterations, residuals
+    base = shifts.index(0.0)
+    p = np.empty_like(z)
+    p[:] = rhs
     r = rhs.copy()
-    p = r.copy()
     rs = float(r @ r)
-    for _ in range(max_iterations):
-        if math.sqrt(rs) <= tol * rhs_norm:
-            return z, True, math.sqrt(rs) / rhs_norm
-        ap = apply_op(p)
-        step = rs / float(p @ ap)
-        z += step * p
+    zeta = [1.0] * k
+    zeta_prev = [1.0] * k
+    step_prev, beta_prev = 1.0, 0.0
+    active = range(k)
+    for iteration in range(max_iterations + 1):
+        r_norm = math.sqrt(rs)
+        for i in active:
+            iterations[i] = iteration
+            residuals[i] = abs(zeta[i]) * r_norm / rhs_norm
+        active = [i for i in active if residuals[i] > tol]
+        if base not in active or iteration == max_iterations:
+            break
+        ap = apply_op(p[base])
+        step = rs / float(p[base] @ ap)
         r -= step * ap
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return z, math.sqrt(rs) <= tol * rhs_norm, math.sqrt(rs) / rhs_norm
+        beta = rs_new / rs
+        for i in active:
+            zeta_next = (zeta[i] * zeta_prev[i] * step_prev
+                         / (step * beta_prev * (zeta_prev[i] - zeta[i])
+                            + zeta_prev[i] * step_prev * (1.0 + shifts[i] * step)))
+            ratio = zeta_next / zeta[i]
+            z[i] += (step * ratio) * p[i]
+            p[i] *= beta * ratio * ratio
+            p[i] += zeta_next * r
+            zeta_prev[i], zeta[i] = zeta[i], zeta_next
+        step_prev, beta_prev, rs = step, beta, rs_new
+    return z, iterations, residuals
 
 
-def train(matrix: CsrMatrix,
-          labels: Sequence[NutrientVector],
-          targets: Sequence[str] = SCORED_NUTRIENTS,
-          config: RidgeConfig = RidgeConfig()) -> RidgeModel:
-    """Fit one ridge weight vector per target over the rows of ``matrix``.
+def train_path(matrix: CsrMatrix,
+               labels: Sequence[NutrientVector],
+               targets: Sequence[str] = SCORED_NUTRIENTS,
+               alphas: Sequence[float] = (1.0,),
+               config: RidgeConfig = RidgeConfig()) -> list[RidgeModel]:
+    """Fit one model per alpha, in the order of ``alphas``; ``config.alpha`` is unused.
 
-    Minimizes ||X w + b - y||^2 + alpha ||w||^2 per target (b unpenalized when
-    fit_intercept). Non-convergence is recorded as a model warning, not an
-    error: the normal-equations system is positive definite.
+    Each model minimizes ||X w + b - y||^2 + alpha ||w||^2 per target (b
+    unpenalized when fit_intercept). X is centred implicitly by its column
+    means mu, so the normal operator X_c^T X_c + alpha I differs between
+    alphas by a multiple of I only and one multi-shift CG sequence per target,
+    run at the smallest alpha, serves every alpha; then b = mean(y) - mu . w.
+    Non-convergence is recorded as a model warning, not an error: each system
+    is positive definite.
     """
     n, d = matrix.shape
     if n != len(labels):
         raise ValueError(f"got {n} rows but {len(labels)} labels")
     if n < 1:
         raise ValueError("need at least one training row")
+    if not alphas:
+        raise ValueError("need at least one alpha")
     targets = list(targets)
+    configs = [replace(config, alpha=float(alpha)) for alpha in alphas]
+    base_alpha = min(c.alpha for c in configs)
+    shifts = [c.alpha - base_alpha for c in configs]
+    mu = (matrix.rmatvec(np.ones(n)) / n if config.fit_intercept
+          else np.zeros(d, dtype=np.float64))
 
-    alpha = config.alpha
+    def apply_op(z):
+        u = matrix.matvec(z)
+        u -= mu @ z
+        out = matrix.rmatvec(u)
+        out -= u.sum() * mu
+        out += base_alpha * z
+        return out
 
-    def make_operator(with_bias: bool):
-        if with_bias:
-            def apply_op(z):
-                u = matrix.matvec(z[:-1]) + z[-1]
-                out = np.empty_like(z)
-                out[:-1] = matrix.rmatvec(u) + alpha * z[:-1]
-                out[-1] = float(u.sum())
-                return out
-        else:
-            def apply_op(z):
-                return matrix.rmatvec(matrix.matvec(z)) + alpha * z
-        return apply_op
-
-    apply_op = make_operator(config.fit_intercept)
-    weights = np.zeros((len(targets), d), dtype=np.float64)
-    intercepts = np.zeros(len(targets), dtype=np.float64)
-    warnings: list[str] = []
-
+    models = [RidgeModel(targets=targets, weights=np.zeros((len(targets), d)),
+                         intercepts=np.zeros(len(targets)), feature_dim=d, config=c)
+              for c in configs]
     for t_index, target in enumerate(targets):
         y = np.asarray([getattr(lv, target) for lv in labels], dtype=np.float64)
-        if config.fit_intercept:
-            rhs = np.empty(d + 1, dtype=np.float64)
-            rhs[:-1] = matrix.rmatvec(y)
-            rhs[-1] = float(y.sum())
-        else:
-            rhs = matrix.rmatvec(y)
-        solution, converged, residual = _cg_solve(
-            apply_op, rhs, config.solver_tol, config.max_iterations)
-        if not converged:
-            warnings.append(
-                f"target {target!r}: cg stopped after {config.max_iterations} iterations "
-                f"with relative residual {residual:.3e}")
-        if config.fit_intercept:
-            weights[t_index] = solution[:-1]
-            intercepts[t_index] = solution[-1]
-        else:
-            weights[t_index] = solution
+        y_mean = float(y.mean()) if config.fit_intercept else 0.0
+        y -= y_mean
+        rhs = matrix.rmatvec(y)
+        rhs -= y.sum() * mu
+        solutions, iterations, residuals = _multishift_cg(
+            apply_op, rhs, shifts, config.solver_tol, config.max_iterations)
+        for model, w, its, residual in zip(models, solutions, iterations, residuals):
+            model.weights[t_index] = w
+            model.intercepts[t_index] = y_mean - float(mu @ w)
+            model.solver_stats[target] = SolverStats(iterations=its, relative_residual=residual)
+            if residual > config.solver_tol:
+                model.warnings.append(
+                    f"target {target!r}: cg stopped after {its} iterations "
+                    f"with relative residual {residual:.3e}")
+    return models
 
-    return RidgeModel(targets=targets, weights=weights, intercepts=intercepts,
-                      feature_dim=d, config=config, warnings=warnings)
+
+def train(matrix: CsrMatrix,
+          labels: Sequence[NutrientVector],
+          targets: Sequence[str] = SCORED_NUTRIENTS,
+          config: RidgeConfig = RidgeConfig()) -> RidgeModel:
+    """Fit one ridge weight vector per target at ``config.alpha`` (see :func:`train_path`)."""
+    return train_path(matrix, labels, targets, [config.alpha], config)[0]
 
 
 def predict_raw(model: RidgeModel, x: CsrMatrix) -> dict[str, float]:
@@ -214,6 +261,7 @@ def save_model(model: RidgeModel, path: str | Path) -> None:
         "intercepts_b64": _encode(model.intercepts),
         "vectorizer_fingerprint": model.vectorizer_fingerprint,
         "warnings": model.warnings,
+        "solver_stats": {target: asdict(stats) for target, stats in model.solver_stats.items()},
     }
     with atomic_write(path) as fh:
         json.dump(payload, fh)
@@ -225,18 +273,26 @@ def load_model(path: str | Path) -> RidgeModel:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: corrupted model file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version "
-                         f"{payload.get('format_version') if isinstance(payload, dict) else None!r}")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        hint = "; retrain it with `train`" if version == 1 else ""
+        raise ValueError(f"{path}: unsupported model format version {version!r} "
+                         f"(this release reads version {MODEL_FORMAT_VERSION}){hint}")
     try:
         targets = [str(t) for t in payload["targets"]]
         feature_dim = int(payload["feature_dim"])
         weights = _decode(payload["weights_b64"], (len(targets), feature_dim))
         intercepts = _decode(payload["intercepts_b64"], (len(targets),))
         config = RidgeConfig(**payload["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        solver_stats = {str(target): SolverStats(iterations=int(stats["iterations"]),
+                                                 relative_residual=float(stats["relative_residual"]))
+                        for target, stats in payload["solver_stats"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"{path}: corrupted model file: {exc}") from exc
+    if not (np.isfinite(weights).all() and np.isfinite(intercepts).all()):
+        raise ValueError(f"{path}: corrupted model file: weights or intercepts are not finite")
     return RidgeModel(targets=targets, weights=weights, intercepts=intercepts,
                       feature_dim=feature_dim, config=config,
                       vectorizer_fingerprint=payload.get("vectorizer_fingerprint"),
-                      warnings=[str(w) for w in payload.get("warnings", [])])
+                      warnings=[str(w) for w in payload.get("warnings", [])],
+                      solver_stats=solver_stats)

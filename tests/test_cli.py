@@ -1,7 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 
+import numpy as np
+import pytest
 from conftest import make_raw_rows, write_jsonl
 
 from recipe_nutrients import cli
@@ -49,6 +52,17 @@ class TestPrepare:
         out_dir = tmp_path / "data"
         assert run("prepare", "--in", str(bad), "--out", str(out_dir)) == 1
         assert not out_dir.exists()
+
+    def test_bad_answer_names_file_record_and_id(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        write_jsonl(raw, [
+            {"id": "a1", "prompt": "ingredients: oats",
+             "answer": "energy - 1, fat - 2, protein - 1, salt - 0, saturates - 1, sugars - 1"},
+            {"id": "b2", "prompt": "ingredients: rye",
+             "answer": "energy - 1, fat - 1e, protein - 1, salt - 0, saturates - 1, sugars - 1"}])
+        assert run("prepare", "--in", str(raw), "--out", str(tmp_path / "data")) == 1
+        err = capsys.readouterr().err
+        assert f"{raw}: record 1 (id 'b2'): " in err and "'fat'" in err
 
     def test_deterministic_across_runs(self, raw_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -117,6 +131,50 @@ class TestTrainPredictEvaluate:
         assert "alpha=0.1" in output and "alpha=1" in output
         assert "selected alpha=" in output
         assert model_path.exists()
+
+    def test_grid_model_matches_single_alpha_model(self, trained_pipeline, tmp_path, capsys):
+        grid_path, single_path = tmp_path / "grid.bin", tmp_path / "single.bin"
+        assert run("train", "--train", str(trained_pipeline["train"]), "--out", str(grid_path),
+                   "--alpha-grid", "10,0.1,1", "--val", str(trained_pipeline["val"])) == 0
+        output = capsys.readouterr().out
+        # scored in the order given
+        assert [line.split(":")[0] for line in output.splitlines() if line.startswith("alpha=")] \
+            == ["alpha=10", "alpha=0.1", "alpha=1"]
+        selected = re.search(r"selected alpha=(\S+)", output).group(1)
+        assert run("train", "--train", str(trained_pipeline["train"]), "--out", str(single_path),
+                   "--alpha", selected) == 0
+        preds = []
+        for model in (grid_path, single_path):
+            out = tmp_path / f"{model.stem}.jsonl"
+            assert run("predict", "--model", str(model), "--in", str(trained_pipeline["val"]),
+                       "--out", str(out)) == 0
+            preds.append(np.array([[row[n] for n in ("fat", "protein", "saturates", "sugars")]
+                                   for row in map(json.loads, out.read_text().splitlines())]))
+        capsys.readouterr()
+        assert np.abs(preds[0] - preds[1]).max() <= 1e-6 * np.abs(preds[1]).max()
+
+    @pytest.mark.parametrize("grid, message", [
+        (",", "empty"), ("", "empty"), ("1,nan", "finite"), ("inf", "finite"),
+        ("0.1,0", "> 0"), ("-1", "> 0"), ("1,10,1.0", "more than once"), ("1,x", "float")])
+    def test_bad_alpha_grid_rejected_before_work(self, trained_pipeline, tmp_path, capsys,
+                                                 grid, message):
+        model_path = tmp_path / "grid.bin"
+        assert run("train", "--train", str(trained_pipeline["train"]), "--out", str(model_path),
+                   "--alpha-grid", grid, "--val", str(trained_pipeline["val"])) == 1
+        captured = capsys.readouterr()
+        assert "--alpha-grid" in captured.err and message in captured.err
+        assert "fitting" not in captured.out
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+    def test_bad_alpha_rejected_before_work(self, trained_pipeline, tmp_path, capsys, alpha):
+        model_path = tmp_path / "model.bin"
+        assert run("train", "--train", str(trained_pipeline["train"]), "--out", str(model_path),
+                   "--alpha", alpha) == 1
+        captured = capsys.readouterr()
+        assert "alpha must be finite and > 0" in captured.err
+        assert "fitting" not in captured.out
+        assert not model_path.exists()
 
 
 class TestBench:

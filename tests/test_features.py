@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -280,6 +281,15 @@ class TestSerialization:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="dense"):
             CombinedVectorizer.load(path)
+
+    def test_fingerprint_hashes_file_bytes(self, tmp_path):
+        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
+                          word_config(min_df=1), char_config(min_df=1))
+        path = tmp_path / "vocab.json"
+        cv.save(path)
+        digest = f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        assert cv.fingerprint() == digest
+        assert CombinedVectorizer.load(path).fingerprint() == digest
 
     def test_fingerprint_tracks_content(self):
         a = fit_combined(["olive oil", "corn oil"], word_config(min_df=1), char_config(min_df=1))

@@ -71,6 +71,7 @@ def test_products_match_dense_toarray(problem):
     # at most 9 terms of size <= 1e4 each: float64 rounding stays far below 1e-9
     np.testing.assert_allclose(matrix.matvec(x), matrix.toarray() @ x, rtol=1e-12, atol=1e-9)
     np.testing.assert_allclose(matrix.rmatvec(y), matrix.toarray().T @ y, rtol=1e-12, atol=1e-9)
+    assert matrix.matvec(x).dtype == matrix.rmatvec(y).dtype == np.float64
 
 
 def test_from_dense_round_trip():

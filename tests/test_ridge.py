@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recipe_nutrients.dataset import NutrientVector
 from recipe_nutrients.kernels import from_dense
@@ -7,12 +12,14 @@ from recipe_nutrients.ridge import (
     NutrientPrediction,
     RidgeConfig,
     RidgeModel,
+    SolverStats,
     load_model,
     predict,
     predict_batch,
     predict_raw,
     save_model,
     train,
+    train_path,
 )
 
 ALL = ("energy", "fat", "protein", "salt", "saturates", "sugars")
@@ -136,6 +143,87 @@ class TestTrain:
         assert model.warnings and "cg stopped" in model.warnings[0]
 
 
+    def test_constant_labels_give_zero_weights_and_mean_intercept(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(20, 5))
+        model = train(from_dense(X), labels_for([3.7] * 20), ["fat"], RidgeConfig(alpha=0.1))
+        assert np.allclose(model.weights[0], 0.0, atol=1e-12)
+        assert model.intercepts[0] == pytest.approx(3.7, abs=1e-12)
+        assert not model.warnings
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_one_row(self, fit_intercept):
+        x = np.array([[0.0, 2.0, 1.0]])
+        model = train(from_dense(x), labels_for([5.0]), ["fat"],
+                      RidgeConfig(alpha=0.5, fit_intercept=fit_intercept, solver_tol=1e-12))
+        if fit_intercept:
+            w, b = closed_form_with_intercept(x, np.array([5.0]), 0.5)
+        else:
+            w, b = closed_form(x, np.array([5.0]), 0.5), 0.0
+        assert np.allclose(model.weights[0], w, atol=1e-9)
+        assert model.intercepts[0] == pytest.approx(b, abs=1e-9)
+
+    def test_solver_stats_per_target(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(30, 10))
+        model = train(from_dense(X), labels_for(rng.random(30)), ["fat", "sugars"],
+                      RidgeConfig(alpha=1.0))
+        assert set(model.solver_stats) == {"fat", "sugars"}
+        fat = model.solver_stats["fat"]
+        assert 1 <= fat.iterations <= 11
+        assert fat.relative_residual <= 1e-8
+        # all-zero labels: nothing to solve
+        assert model.solver_stats["sugars"] == SolverStats(iterations=0, relative_residual=0.0)
+
+    def test_unconverged_stats_match_warning(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 10))
+        models = train_path(from_dense(X), labels_for(rng.random(30)), ["fat"], [0.01, 100.0],
+                            RidgeConfig(solver_tol=1e-14, max_iterations=2))
+        for model in models:
+            stats = model.solver_stats["fat"]
+            assert stats.iterations == 2 and stats.relative_residual > 1e-14
+            assert model.warnings == [f"target 'fat': cg stopped after 2 iterations "
+                                      f"with relative residual {stats.relative_residual:.3e}"]
+
+    @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("alpha", math.inf),
+                                              ("alpha", 0.0), ("solver_tol", math.nan),
+                                              ("solver_tol", math.inf), ("solver_tol", -1.0)])
+    def test_config_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RidgeConfig(**{field: value})
+
+
+@st.composite
+def ridge_paths(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 8))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-3, 3)))
+    X[~draw(hnp.arrays(np.bool_, (n, d)))] = 0.0
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 10)))
+    alphas = draw(st.lists(st.sampled_from([0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]),
+                           min_size=1, max_size=5, unique=True))
+    return X, y, alphas, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ridge_paths())
+def test_path_matches_closed_form_per_alpha(problem):
+    X, y, alphas, fit_intercept = problem
+    models = train_path(from_dense(X), labels_for(y), ["fat"], alphas,
+                        RidgeConfig(fit_intercept=fit_intercept, solver_tol=1e-12,
+                                    max_iterations=10_000))
+    assert [m.config.alpha for m in models] == alphas
+    for alpha, model in zip(alphas, models):
+        if fit_intercept:
+            w, b = closed_form_with_intercept(X, y, alpha)
+        else:
+            w, b = closed_form(X, y, alpha), 0.0
+        np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-6)
+        assert model.intercepts[0] == pytest.approx(b, abs=1e-6)
+        assert not model.warnings
+
+
 class TestPredict:
     def make_model(self, weights, intercepts):
         weights = np.asarray(weights, dtype=np.float64)
@@ -225,6 +313,33 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="corrupted"):
             load_model(path)
 
+    def test_solver_stats_round_trip(self, tmp_path):
+        model = self.make_trained()
+        assert model.solver_stats["fat"].iterations > 0
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert load_model(path).solver_stats == model.solver_stats
+
+    def test_format_1_rejected_with_retrain_hint(self, tmp_path):
+        model = self.make_trained()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = json.loads(path.read_text())
+        raw["format_version"] = 1
+        del raw["solver_stats"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="version 1.*retrain"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["weights", "intercepts"])
+    def test_non_finite_arrays_rejected(self, tmp_path, key):
+        model = self.make_trained()
+        getattr(model, key)[0] = math.nan
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="not finite"):
+            load_model(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_text('{"format_version": 42}')
@@ -235,7 +350,6 @@ class TestModelSerialization:
         model = self.make_trained()
         path = tmp_path / "model.bin"
         save_model(model, path)
-        import json
         raw = json.loads(path.read_text())
         raw["feature_dim"] = 999
         path.write_text(json.dumps(raw))
