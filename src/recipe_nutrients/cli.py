@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dataset, evaluate as ev, features, llm, ridge
@@ -233,20 +232,8 @@ def cmd_llm_predict(args, config: dict) -> int:
     cache = llm.TranscriptCache(args.cache) if args.cache else None
 
     items = [(s.id, llm.render_direct_prompt(s.ingredient_text, bank)) for s in samples]
-    responses = llm.complete_many(items, ep, cache=cache)
-
-    preds: dict[str, ridge.NutrientPrediction] = {}
-    failed: list[str] = []
-    for sample in samples:
-        response = responses.get(sample.id)
-        if response is None:
-            failed.append(sample.id)
-            continue
-        try:
-            preds[sample.id] = llm.parse_llm_nutrients(response)
-        except llm.ParseError as exc:
-            print(f"sample {sample.id}: {exc}", file=sys.stderr)
-            failed.append(sample.id)
+    preds = llm.parse_replies(llm.complete_many(items, ep, cache=cache), llm.parse_llm_nutrients)
+    failed = [s.id for s in samples if s.id not in preds]
     ev.save_predictions(args.out, preds)
     print(f"wrote {len(preds)} predictions to {args.out} "
           f"({len(failed)} failed{': ' + ', '.join(failed[:5]) if failed else ''})")
@@ -262,20 +249,14 @@ def cmd_refine(args, config: dict) -> int:
         some = ", ".join(sorted(missing)[:5])
         raise ValueError(f"{len(missing)} prediction ids have no sample text (e.g. {some})")
 
-    ordered = list(preds.items())
-
-    def run_one(item):
-        sample_id, pred = item
-        return sample_id, llm.refine(samples[sample_id].ingredient_text, pred, ep)
-
-    refined: dict[str, ridge.NutrientPrediction] = {}
-    with ThreadPoolExecutor(max_workers=ep.max_concurrency) as pool:
-        for sample_id, pred in pool.map(run_one, ordered):
-            refined[sample_id] = pred
-
+    items = [(sample_id, llm.render_refine_prompt(samples[sample_id].ingredient_text, pred))
+             for sample_id, pred in preds.items()]
+    refined = llm.parse_replies(llm.complete_many(items, ep), llm.parse_refine_json)
+    # a failed id keeps its input prediction
+    merged = llm.merge_predictions(preds, refined, set(refined))
     changed = sum(1 for sample_id in refined if refined[sample_id] != preds[sample_id])
-    ev.save_predictions(args.out, refined)
-    print(f"wrote {len(refined)} predictions to {args.out} ({changed} changed)")
+    ev.save_predictions(args.out, merged)
+    print(f"wrote {len(merged)} predictions to {args.out} ({changed} changed)")
     return EXIT_OK
 
 

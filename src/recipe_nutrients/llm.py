@@ -4,8 +4,8 @@ Two prompt styles are supported: direct inference (few-shot, answer in a
 fixed one-line format) and refinement (the model adjusts an existing
 prediction and returns JSON). Transport speaks the common chat-completions
 HTTP+JSON protocol so both local inference servers and cloud APIs work; all
-endpoint specifics live in EndpointConfig. Every parse and transport failure
-in the refinement path degrades to the input prediction, never an exception.
+endpoint specifics live in EndpointConfig. Every request or parse failure is
+one logged warning and a missing prediction, never an exception.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
+import sys
 import threading
 import time
 import weakref
@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import requests
 
@@ -191,6 +191,16 @@ def _session() -> requests.Session:
     return session
 
 
+def _api_key(ep: EndpointConfig) -> str | None:
+    """The endpoint's API key (None if it needs none); ValueError if its variable is unset."""
+    if not ep.api_key_env:
+        return None
+    key = os.environ.get(ep.api_key_env)
+    if not key:
+        raise ValueError(f"environment variable {ep.api_key_env!r} is not set")
+    return key
+
+
 def complete(req: ChatRequest, ep: EndpointConfig) -> str:
     """POST the request to {base_url}/chat/completions and return the reply text.
 
@@ -199,10 +209,8 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
     up to max_retries; other non-2xx statuses fail immediately.
     """
     headers = {"Content-Type": "application/json"}
-    if ep.api_key_env:
-        key = os.environ.get(ep.api_key_env)
-        if not key:
-            raise ValueError(f"environment variable {ep.api_key_env!r} is not set")
+    key = _api_key(ep)
+    if key:
         headers["Authorization"] = f"Bearer {key}"
     url = ep.base_url.rstrip("/") + "/chat/completions"
     payload = req.to_payload(ep.model_name)
@@ -286,35 +294,59 @@ class TranscriptCache:
                 fh.write(line)
 
 
+def _complete_or_none(sample_id: str, req: ChatRequest, ep: EndpointConfig) -> str | None:
+    """complete(), with a failed request logged as one warning and returned as None."""
+    try:
+        return complete(req, ep)
+    except (TransportError, EndpointError, ValueError) as exc:
+        logger.warning("%s: request failed: %s", sample_id, exc)
+        return None
+
+
 def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
                   cache: TranscriptCache | None = None) -> dict[str, str | None]:
     """Bounded-concurrency map over (id, request) pairs.
 
-    Returns response text per id (None for ids whose request failed). Cached
-    responses are replayed without touching the network.
+    Returns response text per id, in the order of items (None for ids whose
+    request failed). Cached responses are replayed without touching the
+    network. If a request must be sent and the endpoint's key variable is
+    unset, raises ValueError before sending any.
     """
-
-    def run_one(item: tuple[str, ChatRequest]) -> tuple[str, str | None]:
-        sample_id, req = item
-        req_hash = request_hash(req, ep)
-        if cache is not None:
-            hit = cache.lookup(sample_id, req_hash)
-            if hit is not None:
-                return sample_id, hit
-        try:
-            response = complete(req, ep)
-        except (TransportError, EndpointError, ValueError) as exc:
-            logger.warning("sample %s: request failed: %s", sample_id, exc)
-            return sample_id, None
-        if cache is not None:
-            cache.record(sample_id, req_hash, response)
-        return sample_id, response
-
     results: dict[str, str | None] = {}
+    pending: list[tuple[str, ChatRequest, str]] = []
+    for sample_id, req in items:
+        req_hash = request_hash(req, ep)
+        results[sample_id] = cache.lookup(sample_id, req_hash) if cache is not None else None
+        if results[sample_id] is None:
+            pending.append((sample_id, req, req_hash))
+    if pending:
+        _api_key(ep)  # raises once, before any request, not once per sample
+
+    def run_one(item: tuple[str, ChatRequest, str]) -> str | None:
+        sample_id, req, req_hash = item
+        response = _complete_or_none(sample_id, req, ep)
+        if response is not None and cache is not None:
+            cache.record(sample_id, req_hash, response)
+        return response
+
     with ThreadPoolExecutor(max_workers=ep.max_concurrency) as pool:
-        for sample_id, response in pool.map(run_one, items):
+        for (sample_id, _, _), response in zip(pending, pool.map(run_one, pending)):
             results[sample_id] = response
     return results
+
+
+def parse_replies(replies: Mapping[str, str | None],
+                  parse: Callable[[str], NutrientPrediction]) -> dict[str, NutrientPrediction]:
+    """parse() each reply; the ids whose request failed (None, logged where it
+    failed) or whose reply does not parse (logged here) are left out."""
+    preds: dict[str, NutrientPrediction] = {}
+    for sample_id, reply in replies.items():
+        if reply is not None:
+            try:
+                preds[sample_id] = parse(reply)
+            except ParseError as exc:
+                logger.warning("%s: %s", sample_id, exc)
+    return preds
 
 
 def parse_llm_nutrients(text: str) -> NutrientPrediction:
@@ -322,8 +354,17 @@ def parse_llm_nutrients(text: str) -> NutrientPrediction:
     return NutrientPrediction(**scan_nutrient_pairs(text, PREDICTION_KEYS))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj and obj[key] != value:
+            raise ValueError(f"key {key!r} is given twice with different values")
+        obj[key] = value
+    return obj
+
+
 def _first_json_object(text: str) -> dict:
-    decoder = json.JSONDecoder()
+    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
     for index, char in enumerate(text):
         if char != "{":
             continue
@@ -331,21 +372,25 @@ def _first_json_object(text: str) -> dict:
             obj, _ = decoder.raw_decode(text, index)
         except json.JSONDecodeError:
             continue
+        except (ValueError, RecursionError) as exc:  # repeated key, too many digits, too deep
+            raise ParseError(f"unreadable json object ({exc}): {text[:120]!r}") from None
         if isinstance(obj, dict):
             return obj
     raise ParseError(f"no json object found in output: {text[:120]!r}")
 
 
 def parse_refine_json(text: str) -> NutrientPrediction:
-    """Pull the refinement JSON out of the reply (code fences and prose tolerated)."""
+    """Read the reply's first json object (code fences and prose tolerated)."""
     obj = _first_json_object(text)
     values: dict[str, float] = {}
     for key in REFINE_JSON_KEYS:
         if key not in obj:
             raise ParseError(f"refinement json is missing key {key!r}: {text[:120]!r}")
         value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ParseError(f"refinement key {key!r} is not a finite number: {value!r}")
+        # the bound is false for NaN, infinities and integers past the float range
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ParseError(f"refinement key {key!r} is not a finite number: {value!r:.40}")
         values[key.removesuffix("_g")] = max(0.0, float(value))
     return NutrientPrediction(fat=values["fat"], protein=values["protein"],
                               saturates=values["saturates"], sugars=values["sugars"])
@@ -354,13 +399,8 @@ def parse_refine_json(text: str) -> NutrientPrediction:
 def refine(ingredient_text: str, pred: NutrientPrediction,
            ep: EndpointConfig) -> NutrientPrediction:
     """One refinement pass; any transport or parse failure returns pred unchanged."""
-    req = render_refine_prompt(ingredient_text, pred)
-    try:
-        response = complete(req, ep)
-        return parse_refine_json(response)
-    except (TransportError, EndpointError, ValueError) as exc:
-        logger.warning("refinement fell back to the input prediction: %s", exc)
-        return pred
+    reply = _complete_or_none("refinement", render_refine_prompt(ingredient_text, pred), ep)
+    return parse_replies({"refinement": reply}, parse_refine_json).get("refinement", pred)
 
 
 def merge_predictions(base: Mapping[str, NutrientPrediction],

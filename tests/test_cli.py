@@ -5,15 +5,36 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import make_raw_rows, write_jsonl
+from conftest import Scripted, completion_body, make_raw_rows, write_jsonl
 
 from recipe_nutrients import cli
 from recipe_nutrients.evaluate import load_predictions
-from recipe_nutrients.dataset import load_samples
+from recipe_nutrients.dataset import load_samples, save_samples
 
 
 def run(*argv):
     return cli.run(list(argv))
+
+
+def stub_config(tmp_path, stub, **profile):
+    """A config file whose "local" profile points at the scripted endpoint."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"endpoints": {"local": {
+        "base_url": stub.base_url, "model_name": "stub", "timeout": 5.0, "backoff_base": 0.01,
+        **profile}}}))
+    return str(path)
+
+
+def refine_inputs(trained_pipeline, tmp_path, n):
+    """n validation samples and a --pred file for them in reverse sample order."""
+    samples = load_samples(trained_pipeline["val"])[:n]
+    subset = tmp_path / "subset.jsonl"
+    save_samples(subset, samples)
+    rows = [{"id": s.id, "fat": float(i), "protein": 1.0, "saturates": 0.5, "sugars": 2.0}
+            for i, s in enumerate(reversed(samples))]
+    preds_path = tmp_path / "preds.jsonl"
+    write_jsonl(preds_path, rows)
+    return subset, preds_path, [row["id"] for row in rows]
 
 
 class TestExitCodes:
@@ -249,6 +270,62 @@ class TestLlmCommands:
         capsys.readouterr()
         refined = load_predictions(refined_path)
         assert all(p.fat == 6.0 and p.saturates == 8.0 for p in refined.values())
+
+    def test_refine_mixed_replies(self, trained_pipeline, endpoint_stub, tmp_path, capsys):
+        config = stub_config(tmp_path, endpoint_stub, max_concurrency=1, max_retries=0)
+        subset, preds_path, ids = refine_inputs(trained_pipeline, tmp_path, 4)
+        valid = completion_body('{"protein_g": 5, "fat_g": 6, "sugars_g": 7, "saturates_g": 8}')
+        outputs = []
+        for name in ("first.jsonl", "second.jsonl"):
+            # one worker answers the queue in --pred order
+            endpoint_stub.script(Scripted(200, valid), Scripted(200, completion_body("no idea")),
+                                 Scripted(500, b"oops"), Scripted(200, valid))
+            out = tmp_path / name
+            assert run("--config", config, "refine", "--endpoint", "local", "--pred",
+                       str(preds_path), "--in", str(subset), "--out", str(out)) == 0
+            assert "(2 changed)" in capsys.readouterr().out
+            outputs.append(out.read_bytes())
+        assert len(endpoint_stub.requests) == 8
+        assert outputs[0] == outputs[1]
+
+        before = load_predictions(preds_path)
+        after = load_predictions(tmp_path / "first.jsonl")
+        assert list(after) == ids
+        assert [i for i in ids if after[i] == before[i]] == ids[1:3]
+        assert after[ids[0]].fat == after[ids[3]].fat == 6.0
+
+    @pytest.mark.parametrize("command", ["llm-predict", "refine"])
+    def test_missing_api_key_fails_once(self, trained_pipeline, endpoint_stub, tmp_path, capsys,
+                                        monkeypatch, command):
+        monkeypatch.delenv("NO_SUCH_KEY", raising=False)
+        config = stub_config(tmp_path, endpoint_stub, api_key_env="NO_SUCH_KEY")
+        subset, preds_path, _ = refine_inputs(trained_pipeline, tmp_path, 2)
+        out = tmp_path / "out.jsonl"
+        argv = ["--config", config, command, "--endpoint", "local", "--in", str(subset),
+                "--out", str(out)]
+        if command == "refine":
+            argv += ["--pred", str(preds_path)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: environment variable 'NO_SUCH_KEY' is not set") == 1
+        assert not out.exists()
+        assert endpoint_stub.requests == []
+
+    def test_cache_replay_needs_no_api_key(self, trained_pipeline, endpoint_stub, tmp_path,
+                                           capsys, monkeypatch):
+        endpoint_stub.reply_with(
+            "Nutrient values per 100 g: fat - 4.00, protein - 3.00, saturates - 2.00, sugars - 1.00")
+        config = stub_config(tmp_path, endpoint_stub, api_key_env="STUB_KEY")
+        subset, _, _ = refine_inputs(trained_pipeline, tmp_path, 2)
+        argv = ["--config", config, "llm-predict", "--endpoint", "local", "--in", str(subset),
+                "--cache", str(tmp_path / "transcripts.jsonl")]
+        monkeypatch.setenv("STUB_KEY", "sekrit")
+        assert run(*argv, "--out", str(tmp_path / "live.jsonl")) == 0
+        monkeypatch.delenv("STUB_KEY")
+        assert run(*argv, "--out", str(tmp_path / "replay.jsonl")) == 0
+        assert "(0 failed)" in capsys.readouterr().out
+        assert len(endpoint_stub.requests) == 2
+        assert (tmp_path / "replay.jsonl").read_bytes() == (tmp_path / "live.jsonl").read_bytes()
 
     def test_unknown_endpoint_profile(self, trained_pipeline, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -5,7 +5,7 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import Scripted, completion_body
 
@@ -22,6 +22,7 @@ from recipe_nutrients.llm import (
     merge_predictions,
     parse_llm_nutrients,
     parse_refine_json,
+    parse_replies,
     refine,
     render_direct_prompt,
     render_prediction_line,
@@ -47,6 +48,26 @@ ADVERSARIAL_PREFIXES = (
     "nonfat - 4, ",
     "fats - 6, ",
     "of which ",
+)
+
+
+# replies that crashed the refinement parser instead of failing to parse
+OVERFLOWING_REPLY = '{"protein_g": 1, "fat_g": ' + "9" * 400 + ', "sugars_g": 1, "saturates_g": 1}'
+DEEP_REPLY = '{"a":' * 2000 + "1" + "}" * 2000
+
+JSON_FRAGMENTS = ("{", "}", "[", "]", ":", ",", " ", '"fat_g"', '"protein_g"', '"sugars_g"',
+                  '"saturates_g"', '"a"', "1", "-2.5", "1e999", "9" * 400, "true", "null",
+                  "NaN", '"x"', "prose ")
+
+refine_values = st.one_of(st.integers(), st.integers(min_value=10 ** 300, max_value=10 ** 400),
+                          st.floats(), st.booleans(), st.none(), st.text(max_size=5))
+refine_objects = st.dictionaries(
+    st.sampled_from(["protein_g", "fat_g", "sugars_g", "saturates_g", "a"]),
+    refine_values).map(json.dumps)
+refine_replies = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(JSON_FRAGMENTS), max_size=40).map("".join),
+    st.tuples(st.text(max_size=10), refine_objects, st.text(max_size=10)).map("".join),
 )
 
 
@@ -285,6 +306,42 @@ class TestParseRefineJson:
     def test_prose_before_object(self):
         text = 'The revised values {not json} are: {"protein_g": 1, "fat_g": 2, "sugars_g": 3, "saturates_g": 4}'
         assert parse_refine_json(text) == pred(fat=2, protein=1, saturates=4, sugars=3)
+
+    def test_integer_past_float_range(self):
+        with pytest.raises(ParseError, match="fat_g"):
+            parse_refine_json(OVERFLOWING_REPLY)
+
+    def test_nesting_past_recursion_limit(self):
+        with pytest.raises(ParseError, match="unreadable"):
+            parse_refine_json(DEEP_REPLY)
+
+    def test_conflicting_repeated_key(self):
+        with pytest.raises(ParseError, match="fat_g"):
+            parse_refine_json(
+                '{"fat_g": 1, "fat_g": 50, "protein_g": 1, "sugars_g": 1, "saturates_g": 1}')
+
+    def test_repeated_key_with_the_same_value(self):
+        text = '{"fat_g": 2, "fat_g": 2.0, "protein_g": 1, "sugars_g": 3, "saturates_g": 4}'
+        assert parse_refine_json(text) == pred(fat=2, protein=1, saturates=4, sugars=3)
+
+    @given(refine_replies)
+    @example(OVERFLOWING_REPLY)
+    @example(DEEP_REPLY)
+    def test_total(self, text):
+        try:
+            result = parse_refine_json(text)
+        except ParseError:
+            return
+        assert isinstance(result, NutrientPrediction)
+
+
+class TestParseReplies:
+    def test_failures_left_out_and_logged_once(self, caplog):
+        replies = {"ok": ANSWER1, "failed": None, "garbage": "I refuse."}
+        with caplog.at_level(logging.WARNING, logger="recipe_nutrients.llm"):
+            preds = parse_replies(replies, parse_llm_nutrients)
+        assert preds == {"ok": parse_llm_nutrients(ANSWER1)}
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["garbage"]
 
 
 class TestRefine:
