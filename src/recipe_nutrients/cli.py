@@ -249,9 +249,11 @@ def cmd_refine(args, config: dict) -> int:
         some = ", ".join(sorted(missing)[:5])
         raise ValueError(f"{len(missing)} prediction ids have no sample text (e.g. {some})")
 
+    cache = llm.TranscriptCache(args.cache) if args.cache else None
+
     items = [(sample_id, llm.render_refine_prompt(samples[sample_id].ingredient_text, pred))
              for sample_id, pred in preds.items()]
-    refined = llm.parse_replies(llm.complete_many(items, ep), llm.parse_refine_json)
+    refined = llm.parse_replies(llm.complete_many(items, ep, cache=cache), llm.parse_refine_json)
     # a failed id keeps its input prediction
     merged = llm.merge_predictions(preds, refined, set(refined))
     changed = sum(1 for sample_id in refined if refined[sample_id] != preds[sample_id])
@@ -352,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--cache", help="append-only transcript jsonl for offline replay")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("merge", help="override a subset of predictions by id")

@@ -4,7 +4,15 @@ Word-level n-grams capture ingredient terms and combinations; word-boundary
 character n-grams absorb spelling variation. Each fitted vocabulary maps
 terms to dense column indices with smooth idf weights; a document transforms
 to an L2-normalized row per vocabulary, and the two rows sit side by side in
-one row of the feature matrix, built in one pass straight to CSR.
+one row of the feature matrix.
+
+char_wb grams never cross whitespace, so a document's char grams are the
+concatenation of its words' grams: ``fit`` analyses each distinct word of the
+corpus once, and a ``CombinedVectorizer`` keeps a bounded table of word ->
+in-vocabulary char columns, so a word is analysed once for all the documents
+it turns up in. Documents become rows in blocks of at most ``_BLOCK_CHARS``
+characters: each block's (row, column) occurrences are counted, weighted and
+normalized in numpy, and the blocks' rows are stacked into one CSR matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from functools import cache, partial
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +37,16 @@ from .util import atomic_write
 FORMAT_VERSION = 1
 
 # maximal runs of >= 2 alphanumeric characters (underscore excluded)
-_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+_TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
+
+# documents become rows in blocks of at most this many characters of text (a
+# longer document is a block of its own); this bounds a block's key arrays
+_BLOCK_CHARS = 16_384
+
+# bound on a CombinedVectorizer's word table: each entry is charged its column
+# ids, its word's length and _ENTRY_CHARGE for the entry itself
+_TABLE_CAP = 1 << 20
+_ENTRY_CHARGE = 16
 
 
 @dataclass(frozen=True)
@@ -78,7 +96,7 @@ def tokenize_words(text: str, config: VectorizerConfig) -> list[str]:
     """Word n-grams: tokenize, drop stopwords, emit space-joined n-grams."""
     if config.lowercase:
         text = text.lower()
-    tokens = [t for t in _TOKEN.findall(text) if len(t) >= 2]
+    tokens = _TOKEN.findall(text)
     if config.remove_stopwords:
         tokens = [t for t in tokens if t not in ENGLISH_STOPWORDS]
     grams: list[str] = []
@@ -86,29 +104,33 @@ def tokenize_words(text: str, config: VectorizerConfig) -> list[str]:
         if n == 1:
             grams.extend(tokens)
         else:
-            grams.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+            grams.extend(map(" ".join, zip(*(tokens[k:] for k in range(n)))))
     return grams
+
+
+def word_grams(word: str, config: VectorizerConfig) -> list[str]:
+    """The char_wb n-grams of one word.
+
+    The word is padded with one leading and trailing space and enumerated for
+    each n in the config's range in turn. A padded word of length at most n is
+    the single whole-word gram for that n, and no larger n follows.
+    """
+    padded = f" {word} "
+    length = len(padded)
+    return [padded[i:i + n]
+            for n in range(min(config.ngram_min, length), min(config.ngram_max, length) + 1)
+            for i in range(length - n + 1)]
+
+
+def _char_words(text: str, config: VectorizerConfig) -> list[str]:
+    """The whitespace-separated words whose grams make up a char_wb document."""
+    return (text.lower() if config.lowercase else text).split()
 
 
 def char_wb_ngrams(text: str, config: VectorizerConfig) -> list[str]:
-    """Character n-grams padded to word boundaries; grams never span words.
-
-    Each whitespace-separated word is padded with one leading and trailing
-    space. A word whose padded length is at most n contributes the single
-    padded whole-word gram and nothing for larger n.
-    """
-    if config.lowercase:
-        text = text.lower()
-    grams: list[str] = []
-    for word in text.split():
-        padded = f" {word} "
-        length = len(padded)
-        for n in range(config.ngram_min, config.ngram_max + 1):
-            if length <= n:
-                grams.append(padded)
-                break
-            grams.extend(padded[i:i + n] for i in range(length - n + 1))
-    return grams
+    """Character n-grams padded to word boundaries; grams never span words
+    (the grams of each word in turn, see :func:`word_grams`)."""
+    return [gram for word in _char_words(text, config) for gram in word_grams(word, config)]
 
 
 def analyze(text: str, config: VectorizerConfig) -> list[str]:
@@ -171,12 +193,18 @@ def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
     """
     if not corpus:
         raise ValueError("corpus is empty")
+    if config.mode == "char_wb":
+        # grams never cross whitespace: analyse each distinct word of the corpus once
+        grams = cache(partial(word_grams, config=config))
+        doc_terms = (list(chain.from_iterable(map(grams, _char_words(doc, config))))
+                     for doc in corpus)
+    else:
+        doc_terms = (analyze(doc, config) for doc in corpus)
     df: Counter[str] = Counter()
     totals: Counter[str] = Counter()
-    for doc in corpus:
-        counts = Counter(analyze(doc, config))
-        totals.update(counts)
-        df.update(counts.keys())
+    for terms in doc_terms:
+        totals.update(terms)
+        df.update(set(terms))
 
     n_docs = len(corpus)
     surviving = [t for t, d in df.items()
@@ -195,32 +223,72 @@ def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
     return Vocabulary(term_to_index=term_to_index, idf=idf, n_docs=n_docs, config=config)
 
 
+def _tfidf_rows(keys: np.ndarray, n_rows: int, vocabs: Sequence[Vocabulary]) -> CsrMatrix:
+    """The TF-IDF rows of term occurrences given as ``row * width + column``,
+    with the vocabularies' columns side by side in a row of ``width`` columns.
+
+    A term's tf is its number of occurrences in the row. Each (row, vocabulary)
+    part is L2-normalized on its own, summing its squares in column order, so
+    a row comes out the same in any batch. Sorts ``keys`` in place.
+    """
+    ends = np.cumsum([len(vocab) for vocab in vocabs])
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    tf = np.diff(starts, append=len(keys)).astype(np.float64)
+    rows, columns = np.divmod(keys[starts], ends[-1])
+    part = np.searchsorted(ends, columns, side="right")  # each column's vocabulary
+    sublinear = np.array([vocab.config.sublinear_tf for vocab in vocabs])
+    weights = np.where(sublinear[part], 1.0 + np.log(tf), tf)
+    weights *= np.concatenate([vocab.idf for vocab in vocabs])[columns]
+    group = rows * len(vocabs) + part
+    norms = np.sqrt(np.bincount(group, weights=weights * weights,
+                                minlength=n_rows * len(vocabs)))
+    weights /= norms[group]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return CsrMatrix(data=weights, indices=columns, indptr=indptr, shape=(n_rows, int(ends[-1])))
+
+
 def transform(doc: str, vocab: Vocabulary) -> CsrMatrix:
     """TF-IDF weights of one document as a 1 x len(vocab) row, L2-normalized
     (a document with no vocabulary term is an empty row)."""
-    counts = Counter(analyze(doc, vocab.config))
-    columns = np.fromiter(map(vocab.term_to_index.get, counts, repeat(-1)),
-                          dtype=np.int64, count=len(counts))
-    tf = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    known = columns >= 0
-    columns, tf = columns[known], tf[known]
-    order = np.argsort(columns)
-    columns, tf = columns[order], tf[order]
-    weights = (1.0 + np.log(tf)) if vocab.config.sublinear_tf else tf
-    weights *= vocab.idf[columns]
-    norm = math.sqrt(weights @ weights)
-    if norm > 0:
-        weights /= norm
-    return CsrMatrix(data=weights, indices=columns, indptr=np.array([0, len(columns)]),
-                     shape=(1, len(vocab)))
+    columns = np.fromiter(map(vocab.term_to_index.get, analyze(doc, vocab.config), repeat(-1)),
+                          dtype=np.int64)
+    return _tfidf_rows(columns[columns >= 0], 1, (vocab,))
 
 
 @dataclass
 class CombinedVectorizer:
+    """A word vocabulary and a char_wb vocabulary, side by side.
+
+    Rows are built through a table that maps each lower-cased word to its
+    in-vocabulary char columns, in gram order. The ids are vocabulary-local
+    and are the int objects of ``char.term_to_index``, so a stored id costs
+    one 8-byte reference. Each entry is charged its ids, its word's length
+    and ``_ENTRY_CHARGE`` for itself. When an entry would take the total
+    charge past ``_TABLE_CAP``, the table is emptied first, and a word
+    charged more than the cap on its own is never stored: a flood of long
+    unseen words cannot grow the table. Its key strings, id tuples and dict
+    slots take at most ~6 bytes per unit of charge (measured with
+    one-character words, the costliest per unit), so at worst ~6 MiB. A
+    new or loaded vectorizer starts with an empty table; the table takes no
+    part in equality or the fingerprint. Building rows updates the table, so
+    a vectorizer serves one thread at a time.
+    """
     word: Vocabulary
     char: Vocabulary
     # the file bytes that save writes or load read, kept once known
     _file_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # lower-cased word -> its in-vocabulary char columns, and the table's charge
+    _char_table: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _char_table_charge: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.word.config.mode, self.char.config.mode) != ("word", "char_wb"):
+            raise ValueError("a combined vectorizer pairs a word and a char_wb vocabulary")
 
     @property
     def dim(self) -> int:
@@ -253,6 +321,44 @@ class CombinedVectorizer:
         """sha256 of the vectorizer file's bytes."""
         return f"sha256:{hashlib.sha256(self._contents()).hexdigest()}"
 
+    def _char_columns(self, word: str) -> tuple[int, ...]:
+        """The char columns of ``word``'s in-vocabulary grams, through the table."""
+        ids = self._char_table.get(word)
+        if ids is None:
+            get = self.char.term_to_index.get
+            ids = tuple(i for i in map(get, word_grams(word, self.char.config)) if i is not None)
+            charge = _ENTRY_CHARGE + len(word) + len(ids)
+            if charge <= _TABLE_CAP:
+                if self._char_table_charge + charge > _TABLE_CAP:
+                    self._char_table.clear()
+                    self._char_table_charge = 0
+                self._char_table[word] = ids
+                self._char_table_charge += charge
+        return ids
+
+    def _block_rows(self, docs: list[str]) -> CsrMatrix:
+        """The rows of one block of documents (see :func:`transform_batch`)."""
+        n_docs, width, offset = len(docs), self.dim, len(self.word)
+        terms = [tokenize_words(doc, self.word.config) for doc in docs]
+        n_terms = np.fromiter(map(len, terms), dtype=np.int64, count=n_docs)
+        word_cols = np.fromiter(map(self.word.term_to_index.get, chain.from_iterable(terms),
+                                    repeat(-1)), dtype=np.int64, count=int(n_terms.sum()))
+        word_keys = np.repeat(np.arange(n_docs) * width, n_terms) + word_cols
+        word_keys = word_keys[word_cols >= 0]
+
+        words = [_char_words(doc, self.char.config) for doc in docs]
+        n_words = np.fromiter(map(len, words), dtype=np.int64, count=n_docs)
+        table = self._char_table
+        columns = [table.get(word) for word in chain.from_iterable(words)]
+        if None in columns:
+            columns = list(map(self._char_columns, chain.from_iterable(words)))
+        n_columns = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
+        char_cols = np.fromiter(chain.from_iterable(columns), dtype=np.int64,
+                                count=int(n_columns.sum()))
+        char_keys = np.repeat(np.repeat(np.arange(n_docs) * width + offset, n_words), n_columns)
+        char_keys += char_cols
+        return _tfidf_rows(np.concatenate((word_keys, char_keys)), n_docs, (self.word, self.char))
+
 
 def fit_combined(corpus: list[str],
                  word_cfg: VectorizerConfig | None = None,
@@ -263,21 +369,33 @@ def fit_combined(corpus: list[str],
     )
 
 
+def _blocks(docs: Sequence[str]):
+    """Consecutive runs of ``docs`` of at most ``_BLOCK_CHARS`` characters in
+    all; a longer document is a block of its own, and no documents one empty
+    block."""
+    block: list[str] = []
+    size = 0
+    for doc in docs:
+        if block and size + len(doc) > _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+        block.append(doc)
+        size += len(doc)
+    yield block
+
+
 def transform_batch(docs: Sequence[str], cv: CombinedVectorizer) -> CsrMatrix:
     """The n x cv.dim TF-IDF matrix of ``docs``: each row is the document's word
-    row followed by its char row (each normalized on its own)."""
-    offset = len(cv.word)
-    indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for doc in docs:
-        word = transform(doc, cv.word)
-        char = transform(doc, cv.char)
-        indices += (word.indices, char.indices + offset)
-        data += (word.data, char.data)
-    part_ends = np.cumsum(np.fromiter(map(len, data), dtype=np.int64, count=len(data)))
-    indptr = np.concatenate(([0], part_ends[1::2]))
-    return CsrMatrix(data=np.concatenate(data or [np.empty(0)]),
-                     indices=np.concatenate(indices or [np.empty(0, dtype=np.int64)]),
+    row followed by its char row (each normalized on its own). The rows are
+    built a block of documents at a time and stacked."""
+    parts = [cv._block_rows(block) for block in _blocks(docs)]
+    if len(parts) == 1:
+        return parts[0]
+    ends = np.cumsum([part.nnz for part in parts])
+    indptr = np.concatenate([[0]] + [part.indptr[1:] + (end - part.nnz)
+                                     for part, end in zip(parts, ends)])
+    return CsrMatrix(data=np.concatenate([part.data for part in parts]),
+                     indices=np.concatenate([part.indices for part in parts]),
                      indptr=indptr, shape=(len(docs), cv.dim))
 
 

@@ -294,6 +294,20 @@ class TestLlmCommands:
         assert [i for i in ids if after[i] == before[i]] == ids[1:3]
         assert after[ids[0]].fat == after[ids[3]].fat == 6.0
 
+    def test_refine_cache_replays_without_requests(self, trained_pipeline, endpoint_stub,
+                                                   tmp_path, capsys):
+        endpoint_stub.reply_with('{"protein_g": 5, "fat_g": 6, "sugars_g": 7, "saturates_g": 8}')
+        config = stub_config(tmp_path, endpoint_stub)
+        subset, preds_path, ids = refine_inputs(trained_pipeline, tmp_path, 3)
+        argv = ["--config", config, "refine", "--endpoint", "local", "--pred", str(preds_path),
+                "--in", str(subset), "--cache", str(tmp_path / "transcripts.jsonl")]
+        assert run(*argv, "--out", str(tmp_path / "live.jsonl")) == 0
+        assert len(endpoint_stub.requests) == len(ids)
+        assert run(*argv, "--out", str(tmp_path / "replay.jsonl")) == 0
+        assert len(endpoint_stub.requests) == len(ids)
+        assert (tmp_path / "replay.jsonl").read_bytes() == (tmp_path / "live.jsonl").read_bytes()
+        assert "(3 changed)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["llm-predict", "refine"])
     def test_missing_api_key_fails_once(self, trained_pipeline, endpoint_stub, tmp_path, capsys,
                                         monkeypatch, command):

@@ -3,11 +3,13 @@ import json
 import math
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from recipe_nutrients import features
 from recipe_nutrients.features import (
     CombinedVectorizer,
     VectorizerConfig,
@@ -21,6 +23,7 @@ from recipe_nutrients.features import (
     transform_batch,
     transform_combined,
     word_config,
+    word_grams,
 )
 
 
@@ -240,6 +243,146 @@ def test_batch_matches_stacked_rows_and_dense_reference(docs):
     dense = np.array([np.concatenate([dense_tfidf(d, cv.word), dense_tfidf(d, cv.char)])
                       for d in docs]).reshape(len(docs), cv.dim)
     np.testing.assert_allclose(matrix.toarray(), dense, rtol=0, atol=1e-12)
+
+
+# words whose lower-casing changes their length or depends on their position,
+# plus separators str.split treats as whitespace (tab, no-break space)
+UNICODE_WORDS = ["İstanbul", "İ", "ΟΔΟΣ", "ΣΑΛΣΑ,", "Σ", "σοσ", "naïve", "ǅem", "ﬁg",
+                 "olive", "oil", "Oil,", "corn", "qx"]
+UNICODE_CV = fit_combined(["İstanbul ΟΔΟΣ olive oil", "σαλσα naïve corn", "ǅem ﬁg oil ΣΑΛΣΑ",
+                           "İ corn\tΣ olive\u00a0oil"],
+                          word_config(min_df=1), char_config(min_df=1))
+unicode_docs = st.lists(
+    st.lists(st.tuples(st.sampled_from(UNICODE_WORDS), st.sampled_from([" ", "\t", "\u00a0", "  "])),
+             max_size=10).map(lambda pairs: "".join(w + sep for w, sep in pairs)),
+    max_size=8)
+
+
+def reference_word_grams(word, config):
+    """The char_wb grams of one word, enumerated size by size."""
+    padded = f" {word} "
+    grams = []
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        if len(padded) <= n:
+            grams.append(padded)
+            break
+        grams.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
+    return grams
+
+
+def reference_fit(corpus, config):
+    """term_to_index and idf from counting each document's analyze output."""
+    df, totals = Counter(), Counter()
+    for doc in corpus:
+        counts = Counter(analyze(doc, config))
+        totals.update(counts)
+        df.update(counts.keys())
+    n = len(corpus)
+    kept = [t for t, d in df.items() if d >= config.min_df and d / n <= config.max_df]
+    kept = sorted(sorted(kept, key=lambda t: (-totals[t], t))[:config.max_features])
+    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept])
+    return {t: i for i, t in enumerate(kept)}, idf
+
+
+def assert_same_rows(matrix, rows):
+    """``matrix`` is ``rows`` stacked, bit for bit."""
+    assert matrix.indptr.tolist() == np.cumsum([0] + [r.nnz for r in rows]).tolist()
+    assert matrix.indices.tolist() == [i for r in rows for i in r.indices.tolist()]
+    assert matrix.data.tobytes() == b"".join(r.data.tobytes() for r in rows)
+
+
+@given(st.text(alphabet="ab İΣσ\u00a0", max_size=9), st.integers(1, 6), st.integers(0, 4))
+def test_word_grams_enumerate_size_by_size(word, n_min, extra):
+    config = ccfg(n_min, n_min + extra)
+    assert word_grams(word, config) == reference_word_grams(word, config)
+
+
+@given(unicode_docs, st.integers(1, 40))
+@example(["İstanbul ΣΑΛΣΑ,\tΣ σοσ", "", "qx\u00a0oil"], 1)
+def test_batch_across_blocks_matches_single_rows(docs, block_chars):
+    cv = UNICODE_CV
+    rows = [transform_combined(doc, CombinedVectorizer(cv.word, cv.char)) for doc in docs]
+    with patch.object(features, "_BLOCK_CHARS", block_chars):
+        matrix = transform_batch(docs, cv)
+    assert matrix.shape == (len(docs), cv.dim)
+    assert_same_rows(matrix, rows)
+    dense = np.array([np.concatenate([dense_tfidf(d, cv.word), dense_tfidf(d, cv.char)])
+                      for d in docs]).reshape(len(docs), cv.dim)
+    np.testing.assert_allclose(matrix.toarray(), dense, rtol=0, atol=1e-12)
+
+
+@given(unicode_docs)
+def test_rows_same_with_cold_and_warm_table(docs):
+    warm = UNICODE_CV
+    transform_batch(docs[::-1], warm)
+    cold = CombinedVectorizer(warm.word, warm.char)
+    assert_same_rows(transform_batch(docs, warm), [transform_combined(d, cold) for d in docs])
+
+
+@settings(max_examples=50)
+@given(st.lists(unicode_docs.map(" ".join), min_size=1, max_size=6),
+       st.sampled_from([ccfg(min_df=1), ccfg(min_df=2, max_df=0.7), ccfg(2, 4, max_features=7),
+                        ccfg(1, 3, lowercase=False), wcfg(ngram_max=2, max_features=5)]))
+def test_fit_matches_counting_analyze_output(corpus, config):
+    term_to_index, idf = reference_fit(corpus, config)
+    if not term_to_index:
+        with pytest.raises(ValueError, match="survived"):
+            fit(corpus, config)
+        return
+    vocab = fit(corpus, config)
+    assert list(vocab.term_to_index.items()) == list(term_to_index.items())
+    assert vocab.idf.tobytes() == idf.tobytes()
+
+
+class TestWordTable:
+    def test_charge_stays_within_cap(self):
+        cv = CombinedVectorizer(PROPERTY_CV.word, PROPERTY_CV.char)
+        cap = 400
+        with patch.object(features, "_TABLE_CAP", cap):
+            for i in range(60):
+                # long, mostly unseen words that still hit some char columns
+                doc = f"{'olive' * (i % 7 + 1)}{i:03d}qx butter{'z' * i} {'corn ' * (i % 3)}"
+                row = transform_combined(doc, cv)
+                expected = np.concatenate([dense_tfidf(doc, cv.word), dense_tfidf(doc, cv.char)])
+                np.testing.assert_allclose(row.toarray()[0], expected, rtol=0, atol=1e-12)
+                table = cv._char_table
+                assert cv._char_table_charge == sum(
+                    features._ENTRY_CHARGE + len(w) + len(ids) for w, ids in table.items())
+                assert cv._char_table_charge <= cap
+            assert table  # the table was in use, not bypassed
+            # a word charged more than the cap on its own is never stored
+            huge = "olive" * 100
+            row = transform_combined(huge, cv)
+            assert huge not in cv._char_table and cv._char_table_charge <= cap
+            np.testing.assert_allclose(row.toarray()[0], np.concatenate(
+                [dense_tfidf(huge, cv.word), dense_tfidf(huge, cv.char)]), rtol=0, atol=1e-12)
+
+    def test_ids_are_vocabulary_local_and_shared(self):
+        cv = CombinedVectorizer(PROPERTY_CV.word, PROPERTY_CV.char)
+        transform_combined("olive oil", cv)
+        ids = cv._char_table["olive"]
+        by_index = {i: i for i in cv.char.term_to_index.values()}
+        assert ids and all(by_index[i] is i for i in ids)
+        grams = [g for g in word_grams("olive", cv.char.config) if g in cv.char.term_to_index]
+        assert list(ids) == [cv.char.term_to_index[g] for g in grams]
+
+    def test_table_is_not_state(self, tmp_path):
+        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
+                          word_config(min_df=1), char_config(min_df=1))
+        fingerprint = cv.fingerprint()
+        cv.save(tmp_path / "vocab.json")
+        loaded = CombinedVectorizer.load(tmp_path / "vocab.json")
+        cold = CombinedVectorizer(cv.word, cv.char)
+        transform_batch(["olive oil", "corn, raw"], cv)
+        assert cv._char_table and not loaded._char_table and not cold._char_table
+        assert cv == cold
+        assert cv.fingerprint() == loaded.fingerprint() == fingerprint
+        assert "_char_table" not in repr(cv)
+
+    def test_modes_must_pair_word_and_char(self):
+        cv = PROPERTY_CV
+        with pytest.raises(ValueError, match="char_wb"):
+            CombinedVectorizer(word=cv.char, char=cv.word)
 
 
 class TestSerialization:
