@@ -2,8 +2,11 @@
 
 Each subcommand reads and validates all inputs before writing any output, so
 usage errors never leave partial artifacts. A json config file can supply
-defaults for any flag (flags win) and holds the named endpoint profiles used
-by the llm subcommands.
+defaults for ``prepare`` (``ratio``, ``seed``, ``format``) and ``train``
+(``alpha``), where flags win, and holds the named endpoint profiles
+(``endpoints``) used by the llm subcommands. Train runs the paper's fixed
+configuration: the four scored nutrients, 8,000 word and 12,000 char
+features, and a CG solve per nutrient (tol 1e-8, at most 1,000 iterations).
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
+# the keys each config section may set; a flag of the same name wins
+CONFIG_KEYS = {"prepare": ("ratio", "seed", "format"), "train": ("alpha",)}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -30,6 +37,14 @@ def _load_config(path: str | None) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a json object")
+    for section, keys in CONFIG_KEYS.items():
+        values = config.get(section, {})
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: config section {section!r} must be a json object")
+        unknown = [key for key in values if key not in keys]
+        if unknown:
+            raise ValueError(f"{path}: unknown {section!r} config keys: {', '.join(unknown)} "
+                             f"(known: {', '.join(keys)})")
     return config
 
 
@@ -37,10 +52,7 @@ def _setting(flag_value, config: dict, section: str, key: str, default):
     """Flag > config-file value > built-in default."""
     if flag_value is not None:
         return flag_value
-    section_values = config.get(section, {})
-    if isinstance(section_values, dict) and key in section_values:
-        return section_values[key]
-    return default
+    return config.get(section, {}).get(key, default)
 
 
 def _endpoint_from_config(config: dict, profile: str) -> llm.EndpointConfig:
@@ -49,16 +61,6 @@ def _endpoint_from_config(config: dict, profile: str) -> llm.EndpointConfig:
         known = ", ".join(sorted(profiles)) or "none defined"
         raise ValueError(f"endpoint profile {profile!r} not found in config (profiles: {known})")
     return llm.EndpointConfig(**profiles[profile])
-
-
-def _parse_nutrients(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise ValueError("empty nutrient list")
-    for name in names:
-        if name not in dataset.NUTRIENT_NAMES:
-            raise ValueError(f"unknown nutrient {name!r}; expected one of {dataset.NUTRIENT_NAMES}")
-    return names
 
 
 def _labeled_samples(samples: list[dataset.RecipeSample], path) -> dict[str, dataset.NutrientVector]:
@@ -108,13 +110,6 @@ def cmd_prepare(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _vectorizer_configs(args, config: dict) -> tuple[features.VectorizerConfig, features.VectorizerConfig]:
-    word_features = int(_setting(args.word_features, config, "train", "word_features", 8000))
-    char_features = int(_setting(args.char_features, config, "train", "char_features", 12000))
-    return (features.word_config(max_features=word_features),
-            features.char_config(max_features=char_features))
-
-
 def _parse_alpha_grid(text: str) -> list[float]:
     try:
         alphas = [float(part) for part in text.split(",") if part.strip()]
@@ -132,31 +127,21 @@ def _parse_alpha_grid(text: str) -> list[float]:
 
 
 def cmd_train(args, config: dict) -> int:
-    targets = _parse_nutrients(_setting(args.targets, config, "train", "targets",
-                                        ",".join(SCORED_NUTRIENTS)))
-    tol = float(_setting(args.tol, config, "train", "tol", 1e-8))
-    max_iter = int(_setting(args.max_iter, config, "train", "max_iter", 1000))
     if args.alpha_grid is not None:
         alphas = _parse_alpha_grid(args.alpha_grid)
         if not args.val:
             raise ValueError("--alpha-grid requires --val for scoring")
-        missing = [n for n in SCORED_NUTRIENTS if n not in targets]
-        if missing:
-            raise ValueError(f"--alpha-grid scoring needs the scored nutrients in --targets "
-                             f"(missing: {', '.join(missing)})")
     else:
         alphas = [float(_setting(args.alpha, config, "train", "alpha", 1.0))]
-    # checks the first alpha and the solver settings before any work starts
-    cfg = ridge.RidgeConfig(alpha=alphas[0], solver_tol=tol, max_iterations=max_iter)
+    # checks the first alpha before any work starts
+    cfg = ridge.RidgeConfig(alpha=alphas[0])
 
     train_samples = dataset.load_samples(args.train)
     train_labels = _labeled_samples(train_samples, args.train)
     texts = [s.ingredient_text for s in train_samples]
 
-    word_cfg, char_cfg = _vectorizer_configs(args, config)
-    print(f"fitting vectorizers on {len(texts)} documents "
-          f"(word {word_cfg.max_features}, char {char_cfg.max_features}) ...")
-    cv = features.fit_combined(texts, word_cfg, char_cfg)
+    print(f"fitting vectorizers on {len(texts)} documents ...")
+    cv = features.fit_combined(texts)
     print(f"combined dim: {cv.dim} (word {len(cv.word)} + char {len(cv.char)})")
     matrix = features.transform_batch(texts, cv)
     labels = [train_labels[s.id] for s in train_samples]
@@ -166,19 +151,19 @@ def cmd_train(args, config: dict) -> int:
         val_labels = _labeled_samples(val_samples, args.val)
         val_matrix = features.transform_batch([s.ingredient_text for s in val_samples], cv)
         rules = ev.load_rules(args.rules)
-        scored = list(SCORED_NUTRIENTS)
 
         best = None
         # scored in the order given, so a tie goes to the first alpha
-        for model in ridge.train_path(matrix, labels, targets, alphas, cfg):
+        for model in ridge.train_path(matrix, labels, alphas=alphas, config=cfg):
             batch = ridge.predict_batch(model, val_matrix)
             preds = {
                 s.id: ridge.NutrientPrediction(
                     **{n: batch[i][model.target_index(n)] for n in SCORED_NUTRIENTS})
                 for i, s in enumerate(val_samples)
             }
-            report = ev.evaluate(preds, val_labels, rules, nutrients=scored)
-            mean_acc = sum(sc.accuracy_percent for sc in report.per_nutrient.values()) / len(scored)
+            report = ev.evaluate(preds, val_labels, rules)
+            mean_acc = (sum(sc.accuracy_percent for sc in report.per_nutrient.values())
+                        / len(SCORED_NUTRIENTS))
             print(f"alpha={model.config.alpha:g}: mean accuracy {mean_acc:.2f} "
                   f"({', '.join(f'{n} {sc.accuracy_percent:.2f}' for n, sc in report.per_nutrient.items())})")
             if best is None or mean_acc > best[0]:
@@ -186,7 +171,7 @@ def cmd_train(args, config: dict) -> int:
         model = best[1]
         print(f"selected alpha={model.config.alpha:g}")
     else:
-        model = ridge.train(matrix, labels, targets, cfg)
+        model = ridge.train(matrix, labels, config=cfg)
 
     for warning in model.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -201,6 +186,10 @@ def cmd_train(args, config: dict) -> int:
 
 def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
     model = ridge.load_model(model_path)
+    missing = [n for n in SCORED_NUTRIENTS if n not in model.targets]
+    if missing:
+        raise ValueError(f"{model_path}: model lacks scored nutrients {', '.join(missing)} "
+                         f"(targets: {', '.join(model.targets)}); retrain it")
     vocab_path = vectorizer_path or f"{model_path}.vocab.json"
     cv = features.CombinedVectorizer.load(vocab_path)
     if model.vectorizer_fingerprint and model.vectorizer_fingerprint != cv.fingerprint():
@@ -278,9 +267,8 @@ def cmd_evaluate(args, config: dict) -> int:
     samples = dataset.load_samples(args.labels)
     labels = _labeled_samples(samples, args.labels)
     rules = ev.load_rules(args.rules)
-    nutrients = _parse_nutrients(args.nutrients) if args.nutrients else list(SCORED_NUTRIENTS)
 
-    report = ev.evaluate(preds, labels, rules, nutrients=nutrients)
+    report = ev.evaluate(preds, labels, rules)
     print(report.format_table())
     if args.json_out:
         with atomic_write(args.json_out) as fh:
@@ -327,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", help="comma list, e.g. 0.1,1,10,100 (requires --val)")
     p.add_argument("--val", help="validation set for --alpha-grid scoring")
     p.add_argument("--rules", help="tolerance rules for grid scoring (default: packaged)")
-    p.add_argument("--targets", help="comma list of nutrients to train (default: scored four)")
-    p.add_argument("--word-features", type=int)
-    p.add_argument("--char-features", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict nutrients with a trained model")
@@ -368,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--labels", required=True, help="canonical samples jsonl with labels")
     p.add_argument("--rules", help="tolerance rules json (default: packaged)")
-    p.add_argument("--nutrients", help="comma list (default: fat,protein,saturates,sugars)")
     p.add_argument("--json-out", help="also write the machine-readable report here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -28,7 +28,7 @@ class NutrientVector:
 
     Units: fat/protein/saturates/sugars are grams per 100 g. The energy and
     salt units are carried opaquely as they appear in the source data; both
-    fields are unscored by default.
+    fields are parsed and stored but never trained or scored.
     """
 
     energy: float

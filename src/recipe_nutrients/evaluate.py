@@ -139,9 +139,8 @@ class EvalReport:
 
 def evaluate(preds: Mapping[str, NutrientPrediction],
              labels: Mapping[str, NutrientVector],
-             rules: Mapping[str, ToleranceRule],
-             nutrients: Sequence[str] = SCORED_NUTRIENTS) -> EvalReport:
-    """Binary tolerance accuracy per nutrient over all labeled samples.
+             rules: Mapping[str, ToleranceRule]) -> EvalReport:
+    """Binary tolerance accuracy per scored nutrient over all labeled samples.
 
     Label ids without a prediction count as failures for every nutrient and
     are reported in the missing count. Prediction ids without a label are an
@@ -153,22 +152,18 @@ def evaluate(preds: Mapping[str, NutrientPrediction],
     if unknown:
         some = ", ".join(sorted(unknown)[:5])
         raise ValueError(f"{len(unknown)} prediction ids have no label (e.g. {some})")
-    for nutrient in nutrients:
+    for nutrient in SCORED_NUTRIENTS:
         if nutrient not in rules:
             raise ValueError(f"no tolerance rule for nutrient {nutrient!r}")
-    probe = next(iter(preds.values()))
-    for nutrient in nutrients:
-        if not hasattr(probe, nutrient):
-            raise ValueError(f"predictions do not carry nutrient {nutrient!r}")
 
     n_missing = 0
-    within: dict[str, int] = {n: 0 for n in nutrients}
+    within: dict[str, int] = {n: 0 for n in SCORED_NUTRIENTS}
     for sample_id, label in labels.items():
         pred = preds.get(sample_id)
         if pred is None:
             n_missing += 1
             continue
-        for nutrient in nutrients:
+        for nutrient in SCORED_NUTRIENTS:
             if within_tolerance(rules[nutrient], getattr(label, nutrient),
                                 getattr(pred, nutrient)):
                 within[nutrient] += 1
@@ -176,7 +171,7 @@ def evaluate(preds: Mapping[str, NutrientPrediction],
     n_samples = len(labels)
     return EvalReport(
         per_nutrient={n: NutrientScore(n_samples=n_samples, n_within=within[n])
-                      for n in nutrients},
+                      for n in SCORED_NUTRIENTS},
         n_samples=n_samples,
         n_missing=n_missing,
     )

@@ -149,6 +149,13 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.term_to_index)
 
+    def __eq__(self, other: object) -> bool:
+        # the generated __eq__ would compare the idf arrays with ==
+        if not isinstance(other, Vocabulary):
+            return NotImplemented
+        return (self.term_to_index == other.term_to_index and self.n_docs == other.n_docs
+                and self.config == other.config and np.array_equal(self.idf, other.idf))
+
     def to_dict(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,

@@ -26,13 +26,12 @@ from typing import Callable, Mapping, Sequence
 
 import requests
 
-from .dataset import ParseError, scan_nutrient_pairs
+from .dataset import SCORED_NUTRIENTS, ParseError, scan_nutrient_pairs
 from .ridge import NutrientPrediction
 from .util import format_decimal, load_jsonl, parse_jsonl
 
 logger = logging.getLogger(__name__)
 
-PREDICTION_KEYS = ("fat", "protein", "saturates", "sugars")
 REFINE_JSON_KEYS = ("protein_g", "fat_g", "sugars_g", "saturates_g")
 
 DIRECT_SYSTEM_PROMPT = """\
@@ -120,31 +119,28 @@ class EndpointConfig:
 
 @dataclass(frozen=True)
 class FewShotBank:
-    exemplars: tuple[tuple[str, NutrientPrediction], ...]
-    k: int = 2
+    """Worked examples for the direct prompt; every exemplar is one shot."""
 
-    def __post_init__(self) -> None:
-        if self.k > len(self.exemplars):
-            raise ValueError(f"k={self.k} exceeds bank size {len(self.exemplars)}")
+    exemplars: tuple[tuple[str, NutrientPrediction], ...]
 
     @classmethod
-    def from_file(cls, path: str | Path, k: int | None = None) -> "FewShotBank":
+    def from_file(cls, path: str | Path) -> "FewShotBank":
         exemplars = tuple(
             (str(row["ingredient_text"]), NutrientPrediction.from_dict(row))
             for row in load_jsonl(path)
         )
-        return cls(exemplars=exemplars, k=len(exemplars) if k is None else k)
+        return cls(exemplars=exemplars)
 
     @classmethod
-    def default(cls, k: int | None = None) -> "FewShotBank":
+    def default(cls) -> "FewShotBank":
         ref = resources.files("recipe_nutrients.data") / "fewshot_bank.jsonl"
         with resources.as_file(ref) as path:
-            return cls.from_file(path, k=k)
+            return cls.from_file(path)
 
 
 def render_prediction_line(pred: NutrientPrediction) -> str:
     """The one-line answer format: "Nutrient values per 100 g: fat - X, ...\"."""
-    parts = ", ".join(f"{key} - {format_decimal(getattr(pred, key))}" for key in PREDICTION_KEYS)
+    parts = ", ".join(f"{key} - {format_decimal(getattr(pred, key))}" for key in SCORED_NUTRIENTS)
     return f"Nutrient values per 100 g: {parts}"
 
 
@@ -153,7 +149,7 @@ def render_direct_prompt(ingredient_text: str, bank: FewShotBank) -> ChatRequest
     if not ingredient_text.strip():
         raise ValueError("ingredient_text must be non-empty")
     messages: list[dict] = []
-    for text, pred in bank.exemplars[:bank.k]:
+    for text, pred in bank.exemplars:
         messages.append({"role": "user", "content": f"[INST] {text} [/INST]"})
         messages.append({"role": "assistant", "content": render_prediction_line(pred)})
     messages.append({"role": "user", "content": f"[INST] {ingredient_text} [/INST]"})
@@ -351,7 +347,7 @@ def parse_replies(replies: Mapping[str, str | None],
 
 def parse_llm_nutrients(text: str) -> NutrientPrediction:
     """Scan free text for the four "key - number" pairs (see dataset.scan_nutrient_pairs)."""
-    return NutrientPrediction(**scan_nutrient_pairs(text, PREDICTION_KEYS))
+    return NutrientPrediction(**scan_nutrient_pairs(text, SCORED_NUTRIENTS))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

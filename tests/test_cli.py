@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import Scripted, completion_body, make_raw_rows, write_jsonl
 
-from recipe_nutrients import cli
+from recipe_nutrients import cli, ridge
 from recipe_nutrients.evaluate import load_predictions
 from recipe_nutrients.dataset import load_samples, save_samples
 
@@ -142,6 +142,25 @@ class TestTrainPredictEvaluate:
                    "--in", str(trained_pipeline["val"]),
                    "--out", str(tmp_path / "p.jsonl")) == 1
         assert "fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_model_lacking_scored_nutrient_refused(self, trained_pipeline, tmp_path, capsys,
+                                                    command):
+        full = ridge.load_model(trained_pipeline["model"])
+        fat_only = ridge.RidgeModel(
+            targets=["fat"], weights=full.weights[:1], intercepts=full.intercepts[:1],
+            feature_dim=full.feature_dim, config=full.config,
+            vectorizer_fingerprint=full.vectorizer_fingerprint)
+        model_path = tmp_path / "fat.bin"
+        ridge.save_model(fat_only, model_path)
+        out = tmp_path / "p.jsonl"
+        argv = [command, "--model", str(model_path),
+                "--vectorizer", f"{trained_pipeline['model']}.vocab.json",
+                "--in", str(trained_pipeline["val"])]
+        assert run(*argv, *(["--out", str(out)] if command == "predict" else [])) == 1
+        err = capsys.readouterr().err
+        assert f"{model_path}: model lacks scored nutrients protein, saturates, sugars" in err
+        assert not out.exists()
 
     def test_alpha_grid_selects_and_trains(self, trained_pipeline, tmp_path, capsys):
         model_path = tmp_path / "grid.bin"
@@ -386,6 +405,37 @@ class TestConfigDefaults:
         assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
                    "--out", str(out_dir), "--ratio", "0.9") == 0
         assert "0.9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section, keys", [
+        ("prepare", {"ratio": 0.5, "shuffle": True}),
+        ("train", {"alpha": 1.0, "max_iter": 50, "word_features": 100})])
+    def test_unknown_config_keys_rejected(self, raw_corpus, tmp_path, capsys, section, keys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({section: keys}))
+        out_dir = tmp_path / "data"
+        assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
+                   "--out", str(out_dir)) == 1
+        unknown = ", ".join(key for key in keys if key not in cli.CONFIG_KEYS[section])
+        assert f"unknown {section!r} config keys: {unknown}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_section_must_be_object(self, raw_corpus, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"train": ["alpha"]}))
+        assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
+                   "--out", str(tmp_path / "data")) == 1
+        assert "config section 'train' must be a json object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--targets", "fat"], ["train", "--tol", "1e-6"], ["train", "--max-iter", "10"],
+    ["train", "--word-features", "100"], ["train", "--char-features", "100"],
+    ["evaluate", "--pred", "p.jsonl", "--labels", "v.jsonl", "--nutrients", "fat"]])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    if argv[0] == "train":
+        argv = [*argv, "--train", "t.jsonl", "--out", "m.bin"]
+    assert run(*argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_imports_every_module():

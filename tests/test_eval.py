@@ -156,11 +156,10 @@ class TestEvaluate:
         backward = evaluate(shuffled_preds, shuffled_labels, rules)
         assert forward.to_dict() == backward.to_dict()
 
-    def test_unscoreable_nutrient_rejected(self, rules):
-        labels = {"a": label(fat=5)}
-        preds = {"a": pred(fat=5)}
-        with pytest.raises(ValueError, match="energy"):
-            evaluate(preds, labels, rules, nutrients=["energy"])
+    def test_scored_nutrient_without_rule_rejected(self, rules):
+        partial = {n: rule for n, rule in rules.items() if n != "sugars"}
+        with pytest.raises(ValueError, match="no tolerance rule for nutrient 'sugars'"):
+            evaluate({"a": pred(fat=5)}, {"a": label(fat=5)}, partial)
 
     def test_report_table_format(self, rules):
         labels = {"a": label(fat=5, protein=5, saturates=2, sugars=5)}

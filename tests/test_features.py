@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -395,6 +396,16 @@ class TestSerialization:
         assert loaded.word.term_to_index == cv.word.term_to_index
         assert np.allclose(loaded.char.idf, cv.char.idf)
         assert loaded.fingerprint() == cv.fingerprint()
+
+    def test_equality_compares_idf_by_value(self, tmp_path):
+        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
+                          word_config(min_df=1), char_config(min_df=1))
+        path = tmp_path / "vocab.json"
+        cv.save(path)
+        assert cv == CombinedVectorizer.load(path)
+        other = replace(cv, word=replace(cv.word, idf=cv.word.idf + 1.0))
+        assert other.word != cv.word and other != cv
+        assert cv.word != cv.char
 
     def test_transforms_agree_after_reload(self, tmp_path):
         cv = fit_combined(["olive oil", "corn oil", "raw corn"],

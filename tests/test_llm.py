@@ -95,7 +95,7 @@ class TestRenderDirectPrompt:
         assert req.messages[3] == {"role": "assistant", "content": ANSWER2}
 
     def test_zero_shot(self):
-        bank = FewShotBank(exemplars=(), k=0)
+        bank = FewShotBank(exemplars=())
         req = render_direct_prompt("1 cup oats", bank)
         assert len(req.messages) == 1
         assert req.messages[0]["role"] == "user"
@@ -120,10 +120,13 @@ class TestRenderDirectPrompt:
         b = render_direct_prompt("1 cup oats", FewShotBank.default())
         assert a == b
 
-    def test_k_limits_exemplars(self):
-        bank = FewShotBank.default(k=1)
-        req = render_direct_prompt("X", bank)
+    def test_every_exemplar_is_a_shot(self, tmp_path):
+        path = tmp_path / "shots.jsonl"
+        path.write_text(json.dumps({"ingredient_text": "1 cup rye", "fat": 1.0, "protein": 2.0,
+                                    "saturates": 0.5, "sugars": 0.0}) + "\n")
+        req = render_direct_prompt("X", FewShotBank.from_file(path))
         assert len(req.messages) == 3
+        assert req.messages[0]["content"] == "[INST] 1 cup rye [/INST]"
 
 
 class TestRenderRefinePrompt:
