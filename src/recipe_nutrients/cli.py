@@ -1,12 +1,14 @@
 """Command-line pipeline: prepare, train, predict, llm tiers, evaluate, bench.
 
 Each subcommand reads and validates all inputs before writing any output, so
-usage errors never leave partial artifacts. A json config file can supply
-defaults for ``prepare`` (``ratio``, ``seed``, ``format``) and ``train``
-(``alpha``), where flags win, and holds the named endpoint profiles
-(``endpoints``) used by the llm subcommands. Train runs the paper's fixed
-configuration: the four scored nutrients, 8,000 word and 12,000 char
-features, and a CG solve per nutrient (tol 1e-8, at most 1,000 iterations).
+usage errors never leave partial artifacts. Stage settings come from flags
+only, with argparse defaults (``--format jsonl``, ``--ratio 0.8``,
+``--seed 42``, ``--alpha 1.0``); ``--alpha`` and ``--alpha-grid`` exclude
+each other. The json config file holds only the named endpoint profiles
+(``endpoints``) used by the llm subcommands, and any other top-level key is
+an error. Train runs the paper's fixed configuration: the four scored
+nutrients, 8,000 word and 12,000 char features, and a CG solve per nutrient
+(tol 1e-8, at most 1,000 iterations).
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from pathlib import Path
 
 from . import dataset, evaluate as ev, features, llm, ridge
 from .dataset import SCORED_NUTRIENTS
-from .util import atomic_write, dump_jsonl
+from .util import atomic_write
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
-
-
-# the keys each config section may set; a flag of the same name wins
-CONFIG_KEYS = {"prepare": ("ratio", "seed", "format"), "train": ("alpha",)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -37,22 +35,11 @@ def _load_config(path: str | None) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a json object")
-    for section, keys in CONFIG_KEYS.items():
-        values = config.get(section, {})
-        if not isinstance(values, dict):
-            raise ValueError(f"{path}: config section {section!r} must be a json object")
-        unknown = [key for key in values if key not in keys]
-        if unknown:
-            raise ValueError(f"{path}: unknown {section!r} config keys: {', '.join(unknown)} "
-                             f"(known: {', '.join(keys)})")
+    unknown = [key for key in config if key != "endpoints"]
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)} "
+                         "(the config holds only 'endpoints')")
     return config
-
-
-def _setting(flag_value, config: dict, section: str, key: str, default):
-    """Flag > config-file value > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    return config.get(section, {}).get(key, default)
 
 
 def _endpoint_from_config(config: dict, profile: str) -> llm.EndpointConfig:
@@ -75,11 +62,7 @@ def _labeled_samples(samples: list[dataset.RecipeSample], path) -> dict[str, dat
 # --- subcommands -------------------------------------------------------------
 
 def cmd_prepare(args, config: dict) -> int:
-    ratio = float(_setting(args.ratio, config, "prepare", "ratio", 0.8))
-    seed = int(_setting(args.seed, config, "prepare", "seed", 42))
-    fmt = _setting(args.format, config, "prepare", "format", "jsonl")
-
-    raw = dataset.load_raw(args.infile, format=fmt)
+    raw = dataset.load_raw(args.infile, format=args.format)
     samples = []
     quality_flags = 0
     for index, row in enumerate(raw):
@@ -93,7 +76,7 @@ def cmd_prepare(args, config: dict) -> int:
             id=row.id, ingredient_text=dataset.extract_ingredients(row.prompt), labels=labels))
 
     unique = dataset.deduplicate(samples)
-    split = dataset.split(unique, ratio=ratio, seed=seed)
+    split = dataset.split(unique, ratio=args.ratio, seed=args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,7 +87,7 @@ def cmd_prepare(args, config: dict) -> int:
     print(f"after dedup:      {len(unique)}")
     print(f"train:            {len(split.train)}")
     print(f"validation:       {len(split.validation)}")
-    print(f"ratio/seed:       {ratio}/{seed}")
+    print(f"ratio/seed:       {args.ratio}/{args.seed}")
     if quality_flags:
         print(f"quality flags:    {quality_flags} samples with saturates > fat (kept)")
     return EXIT_OK
@@ -126,13 +109,22 @@ def _parse_alpha_grid(text: str) -> list[float]:
     return alphas
 
 
+def _predictions(model: ridge.RidgeModel, matrix, samples: list[dataset.RecipeSample]
+                 ) -> dict[str, ridge.NutrientPrediction]:
+    """The scored nutrients of each sample, by id, from one batched prediction."""
+    columns = [model.targets.index(n) for n in SCORED_NUTRIENTS]
+    rows = ridge.predict_batch(model, matrix)[:, columns].tolist()
+    # the columns follow SCORED_NUTRIENTS, the order of NutrientPrediction's fields
+    return {s.id: ridge.NutrientPrediction(*row) for s, row in zip(samples, rows)}
+
+
 def cmd_train(args, config: dict) -> int:
     if args.alpha_grid is not None:
         alphas = _parse_alpha_grid(args.alpha_grid)
         if not args.val:
             raise ValueError("--alpha-grid requires --val for scoring")
     else:
-        alphas = [float(_setting(args.alpha, config, "train", "alpha", 1.0))]
+        alphas = [args.alpha]
     # checks the first alpha before any work starts
     cfg = ridge.RidgeConfig(alpha=alphas[0])
 
@@ -155,13 +147,7 @@ def cmd_train(args, config: dict) -> int:
         best = None
         # scored in the order given, so a tie goes to the first alpha
         for model in ridge.train_path(matrix, labels, alphas=alphas, config=cfg):
-            batch = ridge.predict_batch(model, val_matrix)
-            preds = {
-                s.id: ridge.NutrientPrediction(
-                    **{n: batch[i][model.target_index(n)] for n in SCORED_NUTRIENTS})
-                for i, s in enumerate(val_samples)
-            }
-            report = ev.evaluate(preds, val_labels, rules)
+            report = ev.evaluate(_predictions(model, val_matrix, val_samples), val_labels, rules)
             mean_acc = (sum(sc.accuracy_percent for sc in report.per_nutrient.values())
                         / len(SCORED_NUTRIENTS))
             print(f"alpha={model.config.alpha:g}: mean accuracy {mean_acc:.2f} "
@@ -203,14 +189,8 @@ def cmd_predict(args, config: dict) -> int:
     model, cv = _load_model_and_vectorizer(args.model, args.vectorizer)
     samples = dataset.load_samples(args.infile)
     matrix = features.transform_batch([s.ingredient_text for s in samples], cv)
-    batch = ridge.predict_batch(model, matrix)
-    rows = []
-    for i, sample in enumerate(samples):
-        row = {"id": sample.id}
-        row.update({target: float(batch[i][t]) for t, target in enumerate(model.targets)})
-        rows.append(row)
-    dump_jsonl(args.out, rows)
-    print(f"wrote {len(rows)} predictions to {args.out}")
+    n = ev.save_predictions(args.out, _predictions(model, matrix, samples))
+    print(f"wrote {n} predictions to {args.out}")
     return EXIT_OK
 
 
@@ -296,23 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recipe-nutrients",
         description="Estimate per-100 g nutrients from recipe ingredient text.")
-    parser.add_argument("--config", help="json config file (flag values win)")
+    parser.add_argument("--config", help="json config file holding the endpoint profiles")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="parse raw prompt/answer rows, dedup, split")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"])
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--out", required=True, help="output directory for train.jsonl/val.jsonl")
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="fit vectorizers and ridge model")
     p.add_argument("--train", required=True, help="canonical train.jsonl")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--vectorizer-out", help="vectorizer output path (default: <out>.vocab.json)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-grid", help="comma list, e.g. 0.1,1,10,100 (requires --val)")
+    penalty = p.add_mutually_exclusive_group()
+    penalty.add_argument("--alpha", type=float, default=1.0)
+    penalty.add_argument("--alpha-grid", help="comma list, e.g. 0.1,1,10,100 (requires --val)")
     p.add_argument("--val", help="validation set for --alpha-grid scoring")
     p.add_argument("--rules", help="tolerance rules for grid scoring (default: packaged)")
     p.set_defaults(func=cmd_train)

@@ -69,26 +69,28 @@ class ToleranceRule:
 
 def load_rules(path: str | Path | None = None) -> dict[str, ToleranceRule]:
     """Load tolerance rules from json; None loads the packaged defaults."""
-    if path is None:
-        ref = resources.files("recipe_nutrients.data") / "eu_tolerances.json"
-        raw = json.loads(ref.read_text(encoding="utf-8"))
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+    source = (resources.files("recipe_nutrients.data") / "eu_tolerances.json"
+              if path is None else Path(path))
     rules: dict[str, ToleranceRule] = {}
-    for nutrient, bands in raw.items():
-        if nutrient.startswith("_"):
-            continue
-        rules[nutrient] = ToleranceRule(
-            nutrient=nutrient,
-            bands=tuple(
-                Band(lower=float(b["lower"]),
-                     upper=None if b["upper"] is None else float(b["upper"]),
-                     margin_kind=str(b["margin_kind"]),
-                     margin=float(b["margin"]))
-                for b in bands
-            ),
-        )
+    try:
+        raw = json.loads(source.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError("rules must be a json object of nutrient -> bands")
+        for nutrient, bands in raw.items():
+            if nutrient.startswith("_"):
+                continue
+            rules[nutrient] = ToleranceRule(
+                nutrient=nutrient,
+                bands=tuple(
+                    Band(lower=float(b["lower"]),
+                         upper=None if b["upper"] is None else float(b["upper"]),
+                         margin_kind=str(b["margin_kind"]),
+                         margin=float(b["margin"]))
+                    for b in bands
+                ),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: bad tolerance rules: {exc}") from exc
     return rules
 
 

@@ -317,10 +317,14 @@ class CombinedVectorizer:
     def load(cls, path: str | Path) -> "CombinedVectorizer":
         with open(path, "rb") as fh:
             file_bytes = fh.read()
-        raw = json.loads(file_bytes)
-        if raw.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported vectorizer format version {raw.get('format_version')!r}")
-        cv = cls(word=Vocabulary.from_dict(raw["word"]), char=Vocabulary.from_dict(raw["char"]))
+        try:
+            raw = json.loads(file_bytes)
+            version = raw.get("format_version") if isinstance(raw, dict) else None
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported vectorizer format version {version!r}")
+            cv = cls(word=Vocabulary.from_dict(raw["word"]), char=Vocabulary.from_dict(raw["char"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad vectorizer file: {exc}") from exc
         cv._file_bytes = file_bytes
         return cv
 

@@ -83,12 +83,6 @@ class RidgeModel:
     warnings: list[str] = field(default_factory=list)
     solver_stats: dict[str, SolverStats] = field(default_factory=dict)
 
-    def target_index(self, name: str) -> int:
-        try:
-            return self.targets.index(name)
-        except ValueError:
-            raise KeyError(f"model has no target {name!r}; targets: {self.targets}") from None
-
 
 def _multishift_cg(apply_op, rhs: np.ndarray, shifts: Sequence[float], tol: float,
                    max_iterations: int) -> tuple[np.ndarray, list[int], list[float]]:

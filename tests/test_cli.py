@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import Scripted, completion_body, make_raw_rows, write_jsonl
 from recipe_nutrients import cli, ridge
 from recipe_nutrients.evaluate import load_predictions
 from recipe_nutrients.dataset import load_samples, save_samples
+from recipe_nutrients.features import CombinedVectorizer, transform_batch
 
 
 def run(*argv):
@@ -206,6 +208,64 @@ class TestTrainPredictEvaluate:
         assert "fitting" not in captured.out
         assert not model_path.exists()
 
+    def test_alpha_and_alpha_grid_exclude_each_other(self, trained_pipeline, tmp_path, capsys):
+        model_path = tmp_path / "model.bin"
+        assert run("train", "--train", str(trained_pipeline["train"]), "--out", str(model_path),
+                   "--alpha", "5", "--alpha-grid", "10,100",
+                   "--val", str(trained_pipeline["val"])) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_predict_writes_scored_nutrients_of_any_target_order(self, trained_pipeline,
+                                                                  tmp_path, capsys):
+        vocab_path = f"{trained_pipeline['model']}.vocab.json"
+        cv = CombinedVectorizer.load(vocab_path)
+        samples = load_samples(trained_pipeline["train"])
+        matrix = transform_batch([s.ingredient_text for s in samples], cv)
+        model = ridge.train(matrix, [s.labels for s in samples],
+                            targets=["sugars", "energy", "fat", "protein", "saturates"])
+        model.vectorizer_fingerprint = cv.fingerprint()
+        permuted_path = tmp_path / "permuted.bin"
+        ridge.save_model(model, permuted_path)
+        rows = []
+        for name, model_path in [("canonical", trained_pipeline["model"]),
+                                 ("permuted", permuted_path)]:
+            out = tmp_path / f"{name}.jsonl"
+            assert run("predict", "--model", str(model_path), "--vectorizer", vocab_path,
+                       "--in", str(trained_pipeline["val"]), "--out", str(out)) == 0
+            rows.append([json.loads(line) for line in out.read_text().splitlines()])
+        capsys.readouterr()
+        canonical, permuted = rows
+        scored = ["fat", "protein", "saturates", "sugars"]
+        assert [list(row) for row in permuted] == [["id", *scored]] * len(canonical)
+        assert [row["id"] for row in permuted] == [row["id"] for row in canonical]
+        values = [np.array([[row[n] for n in scored] for row in part]) for part in rows]
+        assert np.abs(values[0] - values[1]).max() <= 1e-9
+
+    @pytest.mark.parametrize("case", ["rules", "vocab", "term_to_index"])
+    def test_malformed_data_file_names_file(self, trained_pipeline, tmp_path, capsys, case):
+        bad, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
+        if case == "rules":
+            bad.write_text("[]")
+            preds = tmp_path / "preds.jsonl"
+            assert run("predict", "--model", str(trained_pipeline["model"]),
+                       "--in", str(trained_pipeline["val"]), "--out", str(preds)) == 0
+            argv = ["evaluate", "--pred", str(preds), "--labels", str(trained_pipeline["val"]),
+                    "--rules", str(bad), "--json-out", str(out)]
+        else:
+            vocab = json.loads(Path(f"{trained_pipeline['model']}.vocab.json").read_text())
+            if case == "vocab":
+                vocab = [1, 2]
+            else:
+                vocab["word"]["term_to_index"] = []
+            bad.write_text(json.dumps(vocab))
+            argv = ["predict", "--model", str(trained_pipeline["model"]), "--vectorizer",
+                    str(bad), "--in", str(trained_pipeline["val"]), "--out", str(out)]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
     def test_bad_alpha_rejected_before_work(self, trained_pipeline, tmp_path, capsys, alpha):
         model_path = tmp_path / "model.bin"
@@ -389,42 +449,31 @@ class TestMergeCommand:
         assert merged["6"].fat == 1.0 and merged["1"].fat == 1.0
 
 
-class TestConfigDefaults:
-    def test_config_supplies_prepare_defaults(self, raw_corpus, tmp_path, capsys):
+class TestConfigFile:
+    def test_flags_supply_stage_settings(self, raw_corpus, tmp_path, capsys):
+        # an endpoints-only config leaves prepare at its flag defaults
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"prepare": {"ratio": 0.5, "seed": 3}}))
-        out_dir = tmp_path / "data"
+        config_path.write_text(json.dumps({"endpoints": {}}))
         assert run("--config", str(config_path), "prepare",
-                   "--in", str(raw_corpus), "--out", str(out_dir)) == 0
-        assert "ratio/seed:       0.5/3" in capsys.readouterr().out
+                   "--in", str(raw_corpus), "--out", str(tmp_path / "data")) == 0
+        assert "ratio/seed:       0.8/42" in capsys.readouterr().out
 
-    def test_flags_beat_config(self, raw_corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("section", ["prepare", "train"])
+    def test_stage_sections_rejected(self, raw_corpus, tmp_path, capsys, section):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"prepare": {"ratio": 0.5}}))
-        out_dir = tmp_path / "data"
-        assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
-                   "--out", str(out_dir), "--ratio", "0.9") == 0
-        assert "0.9" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("section, keys", [
-        ("prepare", {"ratio": 0.5, "shuffle": True}),
-        ("train", {"alpha": 1.0, "max_iter": 50, "word_features": 100})])
-    def test_unknown_config_keys_rejected(self, raw_corpus, tmp_path, capsys, section, keys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({section: keys}))
+        config_path.write_text(json.dumps({"endpoints": {}, section: {"seed": 1.7}}))
         out_dir = tmp_path / "data"
         assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
                    "--out", str(out_dir)) == 1
-        unknown = ", ".join(key for key in keys if key not in cli.CONFIG_KEYS[section])
-        assert f"unknown {section!r} config keys: {unknown}" in capsys.readouterr().err
+        assert f"{config_path}: unknown config keys: {section} " in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_config_section_must_be_object(self, raw_corpus, tmp_path, capsys):
+    def test_config_must_be_object(self, raw_corpus, tmp_path, capsys):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"train": ["alpha"]}))
+        config_path.write_text(json.dumps(["endpoints"]))
         assert run("--config", str(config_path), "prepare", "--in", str(raw_corpus),
                    "--out", str(tmp_path / "data")) == 1
-        assert "config section 'train' must be a json object" in capsys.readouterr().err
+        assert f"{config_path}: config must be a json object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
