@@ -4,11 +4,12 @@ Each subcommand reads and validates all inputs before writing any output, so
 usage errors never leave partial artifacts. Stage settings come from flags
 only, with argparse defaults (``--format jsonl``, ``--ratio 0.8``,
 ``--seed 42``, ``--alpha 1.0``); ``--alpha`` and ``--alpha-grid`` exclude
-each other. The json config file holds only the named endpoint profiles
-(``endpoints``) used by the llm subcommands, and any other top-level key is
-an error. Train runs the paper's fixed configuration: the four scored
-nutrients, 8,000 word and 12,000 char features, and a CG solve per nutrient
-(tol 1e-8, at most 1,000 iterations).
+each other, and ``--val`` and ``--rules`` serve ``--alpha-grid`` only. The
+json config file holds only the named endpoint profiles (``endpoints``) used
+by the llm subcommands, and any other top-level key is an error. Train runs
+the paper's fixed configuration: the four scored nutrients, 8,000 word and
+12,000 char features, and a CG solve per nutrient (tol 1e-8, at most 1,000
+iterations), and replaces the model and its vectorizer file together.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import dataset, evaluate as ev, features, llm, ridge
 from .dataset import SCORED_NUTRIENTS
-from .util import atomic_write
+from .util import atomic_write, replace_together
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -39,15 +40,20 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)} "
                          "(the config holds only 'endpoints')")
+    if not isinstance(config.get("endpoints", {}), dict):
+        raise ValueError(f"{path}: 'endpoints' must be a json object of named profiles")
     return config
 
 
-def _endpoint_from_config(config: dict, profile: str) -> llm.EndpointConfig:
+def _endpoint_from_config(config: dict, profile: str, path: str | None) -> llm.EndpointConfig:
     profiles = config.get("endpoints", {})
     if profile not in profiles:
         known = ", ".join(sorted(profiles)) or "none defined"
         raise ValueError(f"endpoint profile {profile!r} not found in config (profiles: {known})")
-    return llm.EndpointConfig(**profiles[profile])
+    try:
+        return llm.EndpointConfig(**profiles[profile])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: endpoint profile {profile!r}: {exc}") from None
 
 
 def _labeled_samples(samples: list[dataset.RecipeSample], path) -> dict[str, dataset.NutrientVector]:
@@ -110,12 +116,11 @@ def _parse_alpha_grid(text: str) -> list[float]:
 
 
 def _predictions(model: ridge.RidgeModel, matrix, samples: list[dataset.RecipeSample]
-                 ) -> dict[str, ridge.NutrientPrediction]:
+                 ) -> dict[str, dataset.NutrientPrediction]:
     """The scored nutrients of each sample, by id, from one batched prediction."""
-    columns = [model.targets.index(n) for n in SCORED_NUTRIENTS]
+    columns = [model.targets.index(n) for n in dataset.NutrientPrediction.KEYS]
     rows = ridge.predict_batch(model, matrix)[:, columns].tolist()
-    # the columns follow SCORED_NUTRIENTS, the order of NutrientPrediction's fields
-    return {s.id: ridge.NutrientPrediction(*row) for s, row in zip(samples, rows)}
+    return {s.id: dataset.NutrientPrediction(*row) for s, row in zip(samples, rows)}
 
 
 def cmd_train(args, config: dict) -> int:
@@ -123,6 +128,8 @@ def cmd_train(args, config: dict) -> int:
         alphas = _parse_alpha_grid(args.alpha_grid)
         if not args.val:
             raise ValueError("--alpha-grid requires --val for scoring")
+    elif args.val or args.rules:
+        raise ValueError("--val and --rules apply only with --alpha-grid")
     else:
         alphas = [args.alpha]
     # checks the first alpha before any work starts
@@ -164,8 +171,11 @@ def cmd_train(args, config: dict) -> int:
 
     model.vectorizer_fingerprint = cv.fingerprint()
     vocab_path = args.vectorizer_out or f"{args.out}.vocab.json"
-    cv.save(vocab_path)
-    ridge.save_model(model, args.out)
+    # the model goes last: a crash between the renames leaves a pair that
+    # predict refuses by its fingerprint
+    with replace_together():
+        cv.save(vocab_path)
+        ridge.save_model(model, args.out)
     print(f"model written to {args.out} (vectorizer: {vocab_path})")
     return EXIT_OK
 
@@ -195,7 +205,7 @@ def cmd_predict(args, config: dict) -> int:
 
 
 def cmd_llm_predict(args, config: dict) -> int:
-    ep = _endpoint_from_config(config, args.endpoint)
+    ep = _endpoint_from_config(config, args.endpoint, args.config)
     samples = dataset.load_samples(args.infile)
     bank = llm.FewShotBank.from_file(args.shots) if args.shots else llm.FewShotBank.default()
     cache = llm.TranscriptCache(args.cache) if args.cache else None
@@ -210,7 +220,7 @@ def cmd_llm_predict(args, config: dict) -> int:
 
 
 def cmd_refine(args, config: dict) -> int:
-    ep = _endpoint_from_config(config, args.endpoint)
+    ep = _endpoint_from_config(config, args.endpoint, args.config)
     preds = ev.load_predictions(args.pred)
     samples = {s.id: s for s in dataset.load_samples(args.infile)}
     missing = set(preds) - set(samples)
@@ -262,7 +272,7 @@ def cmd_bench(args, config: dict) -> int:
     samples = dataset.load_samples(args.infile)
     texts = [s.ingredient_text for s in samples]
 
-    def predict_one(text: str) -> ridge.NutrientPrediction:
+    def predict_one(text: str) -> dataset.NutrientPrediction:
         return ridge.predict(model, features.transform_combined(text, cv))
 
     stats = ev.bench_latency(predict_one, texts, warmup=args.warmup)

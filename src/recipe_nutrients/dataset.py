@@ -3,7 +3,8 @@
 Input rows pair a natural-language prompt (which embeds the ingredient list)
 with an answer string listing six nutrient values per 100 g. This module
 extracts the ingredient text, parses the labels, removes duplicate recipes,
-and produces deterministic train/validation splits.
+and produces deterministic train/validation splits. Both nutrient records,
+the labels and the predictions, live here with their one-line answer format.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, ClassVar, Iterable, Sequence
 
 from .util import dump_jsonl, format_decimal, load_jsonl
 
@@ -23,13 +24,36 @@ SCORED_NUTRIENTS = ("fat", "protein", "saturates", "sugars")
 
 
 @dataclass(frozen=True)
-class NutrientVector:
+class NutrientRecord:
+    """Nutrient values per 100 g: one field per name in ``KEYS``, in that order, each
+    finite and >= 0."""
+
+    KEYS: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        for name in self.KEYS:
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"nutrient {name!r} must be finite and >= 0, got {value!r}")
+
+    def to_dict(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self.KEYS}
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "NutrientRecord":
+        return cls(**{name: float(d[name]) for name in cls.KEYS})
+
+
+@dataclass(frozen=True)
+class NutrientVector(NutrientRecord):
     """The six labeled nutrient values per 100 g.
 
     Units: fat/protein/saturates/sugars are grams per 100 g. The energy and
     salt units are carried opaquely as they appear in the source data; both
     fields are parsed and stored but never trained or scored.
     """
+
+    KEYS = NUTRIENT_NAMES
 
     energy: float
     fat: float
@@ -38,23 +62,22 @@ class NutrientVector:
     saturates: float
     sugars: float
 
-    def __post_init__(self) -> None:
-        for name in NUTRIENT_NAMES:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"nutrient {name!r} must be finite and >= 0, got {value!r}")
-
     @property
     def saturates_exceeds_fat(self) -> bool:
         """Data-quality flag; source rows may violate saturates <= fat."""
         return self.saturates > self.fat
 
-    def to_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in NUTRIENT_NAMES}
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "NutrientVector":
-        return cls(**{name: float(d[name]) for name in NUTRIENT_NAMES})
+@dataclass(frozen=True)
+class NutrientPrediction(NutrientRecord):
+    """The four scored nutrients, grams per 100 g, as a model predicts them."""
+
+    KEYS = SCORED_NUTRIENTS
+
+    fat: float
+    protein: float
+    saturates: float
+    sugars: float
 
 
 @dataclass(frozen=True)
@@ -191,9 +214,9 @@ def parse_answer(answer: str) -> NutrientVector:
     return NutrientVector(**scan_nutrient_pairs(answer, NUTRIENT_NAMES))
 
 
-def render_answer(v: NutrientVector) -> str:
-    """Render labels in the canonical answer format (two decimals, half-up)."""
-    parts = ", ".join(f"{name} - {format_decimal(getattr(v, name))}" for name in NUTRIENT_NAMES)
+def render_answer(record: NutrientRecord) -> str:
+    """Render a record in the canonical answer format (its keys, two decimals, half-up)."""
+    parts = ", ".join(f"{key} - {format_decimal(v)}" for key, v in record.to_dict().items())
     return f"Nutrient values per 100 g: {parts}"
 
 

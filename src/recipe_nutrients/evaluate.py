@@ -19,8 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .dataset import SCORED_NUTRIENTS, NutrientVector
-from .ridge import NutrientPrediction
+from .dataset import SCORED_NUTRIENTS, NutrientPrediction, NutrientVector
 from .util import dump_jsonl, load_jsonl
 
 MARGIN_KINDS = ("absolute_g", "relative_fraction")

@@ -26,8 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import requests
 
-from .dataset import SCORED_NUTRIENTS, ParseError, scan_nutrient_pairs
-from .ridge import NutrientPrediction
+from .dataset import NutrientPrediction, ParseError, render_answer, scan_nutrient_pairs
 from .util import format_decimal, load_jsonl, parse_jsonl
 
 logger = logging.getLogger(__name__)
@@ -138,12 +137,6 @@ class FewShotBank:
             return cls.from_file(path)
 
 
-def render_prediction_line(pred: NutrientPrediction) -> str:
-    """The one-line answer format: "Nutrient values per 100 g: fat - X, ...\"."""
-    parts = ", ".join(f"{key} - {format_decimal(getattr(pred, key))}" for key in SCORED_NUTRIENTS)
-    return f"Nutrient values per 100 g: {parts}"
-
-
 def render_direct_prompt(ingredient_text: str, bank: FewShotBank) -> ChatRequest:
     """Few-shot direct-inference request; exemplars become worked turns."""
     if not ingredient_text.strip():
@@ -151,7 +144,7 @@ def render_direct_prompt(ingredient_text: str, bank: FewShotBank) -> ChatRequest
     messages: list[dict] = []
     for text, pred in bank.exemplars:
         messages.append({"role": "user", "content": f"[INST] {text} [/INST]"})
-        messages.append({"role": "assistant", "content": render_prediction_line(pred)})
+        messages.append({"role": "assistant", "content": render_answer(pred)})
     messages.append({"role": "user", "content": f"[INST] {ingredient_text} [/INST]"})
     return ChatRequest(system=DIRECT_SYSTEM_PROMPT, messages=tuple(messages))
 
@@ -159,12 +152,7 @@ def render_direct_prompt(ingredient_text: str, bank: FewShotBank) -> ChatRequest
 def render_refine_prompt(ingredient_text: str, pred: NutrientPrediction) -> ChatRequest:
     """Refinement request: the text plus current predictions, JSON answer."""
     user = REFINE_USER_TEMPLATE.format(
-        text=ingredient_text,
-        protein=format_decimal(pred.protein),
-        fat=format_decimal(pred.fat),
-        sugars=format_decimal(pred.sugars),
-        saturates=format_decimal(pred.saturates),
-    )
+        text=ingredient_text, **{key: format_decimal(v) for key, v in pred.to_dict().items()})
     return ChatRequest(system=REFINE_SYSTEM_PROMPT, messages=({"role": "user", "content": user},))
 
 
@@ -347,7 +335,7 @@ def parse_replies(replies: Mapping[str, str | None],
 
 def parse_llm_nutrients(text: str) -> NutrientPrediction:
     """Scan free text for the four "key - number" pairs (see dataset.scan_nutrient_pairs)."""
-    return NutrientPrediction(**scan_nutrient_pairs(text, SCORED_NUTRIENTS))
+    return NutrientPrediction(**scan_nutrient_pairs(text, NutrientPrediction.KEYS))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -388,8 +376,7 @@ def parse_refine_json(text: str) -> NutrientPrediction:
                 or not abs(value) <= sys.float_info.max):
             raise ParseError(f"refinement key {key!r} is not a finite number: {value!r:.40}")
         values[key.removesuffix("_g")] = max(0.0, float(value))
-    return NutrientPrediction(fat=values["fat"], protein=values["protein"],
-                              saturates=values["saturates"], sugars=values["sugars"])
+    return NutrientPrediction(**values)
 
 
 def refine(ingredient_text: str, pred: NutrientPrediction,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SCORED_NUTRIENTS, NutrientVector
+from .dataset import SCORED_NUTRIENTS, NutrientPrediction, NutrientVector
 from .kernels import CsrMatrix
 from .util import atomic_write
 
@@ -39,29 +39,6 @@ class RidgeConfig:
             raise ValueError(f"solver_tol must be finite and > 0, got {self.solver_tol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class NutrientPrediction:
-    """The four scored nutrients, grams per 100 g."""
-
-    fat: float
-    protein: float
-    saturates: float
-    sugars: float
-
-    def __post_init__(self) -> None:
-        for name in SCORED_NUTRIENTS:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"prediction {name!r} must be finite and >= 0, got {value!r}")
-
-    def to_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in SCORED_NUTRIENTS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NutrientPrediction":
-        return cls(**{name: float(d[name]) for name in SCORED_NUTRIENTS})
 
 
 @dataclass(frozen=True)

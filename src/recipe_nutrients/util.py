@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -50,24 +51,52 @@ def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]
     return rows
 
 
+_held: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("_held", default=None)
+
+
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Open a text file that replaces ``path`` only once the block completes.
 
     The text goes to a temporary file in the same directory, which is synced
-    and then renamed over ``path`` with ``os.replace``; if the block raises,
-    the temporary file is removed and ``path`` is left as it was.
+    and then renamed over ``path`` with ``os.replace`` (inside
+    :func:`replace_together`, once that block completes); if the block
+    raises, the temporary file is removed and ``path`` is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    held = _held.get()
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
+        if held is None:
+            os.replace(tmp, path)
+        else:
+            held.append((tmp, path))
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def replace_together() -> Iterator[None]:
+    """Rename the files of the :func:`atomic_write` blocks inside this one together.
+
+    The renames wait for this block and run in the order written; if it raises,
+    every target keeps its old contents. Only a crash between renames splits them.
+    """
+    held: list[tuple[Path, Path]] = []
+    token = _held.set(held)
+    try:
+        yield
+        for tmp, path in held:
+            os.replace(tmp, path)
+    finally:
+        _held.reset(token)
+        for tmp, _ in held:
+            tmp.unlink(missing_ok=True)
 
 
 def dump_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:

@@ -12,6 +12,7 @@ from recipe_nutrients import cli, ridge
 from recipe_nutrients.evaluate import load_predictions
 from recipe_nutrients.dataset import load_samples, save_samples
 from recipe_nutrients.features import CombinedVectorizer, transform_batch
+from recipe_nutrients.util import atomic_write
 
 
 def run(*argv):
@@ -266,6 +267,46 @@ class TestTrainPredictEvaluate:
         assert f"error: {bad}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_model_write_keeps_last_good_pair(self, tmp_path, capsys, monkeypatch):
+        data = {}
+        for seed in (5, 6):
+            raw = tmp_path / f"raw{seed}.jsonl"
+            write_jsonl(raw, make_raw_rows(150, seed=seed))
+            assert run("prepare", "--in", str(raw), "--out", str(tmp_path / f"d{seed}")) == 0
+            data[seed] = tmp_path / f"d{seed}"
+        out_dir = tmp_path / "model"
+        out_dir.mkdir()
+        model_path = out_dir / "model.bin"
+        vocab_path = out_dir / "model.bin.vocab.json"
+        assert run("train", "--train", str(data[5] / "train.jsonl"), "--out", str(model_path)) == 0
+        before = model_path.read_bytes(), vocab_path.read_bytes()
+
+        def full_disk(model, path):
+            with atomic_write(path) as fh:
+                fh.write("{")
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ridge, "save_model", full_disk)
+        assert run("train", "--train", str(data[6] / "train.jsonl"), "--out", str(model_path)) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert (model_path.read_bytes(), vocab_path.read_bytes()) == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["model.bin", "model.bin.vocab.json"]
+        assert run("predict", "--model", str(model_path), "--in", str(data[5] / "val.jsonl"),
+                   "--out", str(tmp_path / "p.jsonl")) == 0
+
+    def test_grid_flags_need_alpha_grid(self, tmp_path, capsys):
+        # rejected before any file is read: none of these paths exists
+        model_path = tmp_path / "model.bin"
+        assert run("train", "--train", str(tmp_path / "train.jsonl"), "--out", str(model_path),
+                   "--val", str(tmp_path / "val.jsonl"), "--rules", str(tmp_path / "r.json")) == 1
+        captured = capsys.readouterr()
+        assert "error: --val and --rules apply only with --alpha-grid" in captured.err
+        assert "fitting" not in captured.out
+        assert run("train", "--train", str(tmp_path / "train.jsonl"), "--out", str(model_path),
+                   "--rules", str(tmp_path / "r.json")) == 1
+        assert "error: --val and --rules apply only with --alpha-grid" in capsys.readouterr().err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
     def test_bad_alpha_rejected_before_work(self, trained_pipeline, tmp_path, capsys, alpha):
         model_path = tmp_path / "model.bin"
@@ -428,6 +469,26 @@ class TestLlmCommands:
                    "--out", str(tmp_path / "x.jsonl")) == 1
         assert "profile" in capsys.readouterr().err
 
+    def test_profile_with_unknown_key_names_file_and_profile(self, trained_pipeline, tmp_path,
+                                                             capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"endpoints": {"local": {
+            "base_url": "http://localhost:1", "model_name": "m", "timeut": 5}}}))
+        out = tmp_path / "x.jsonl"
+        assert run("--config", str(config_path), "llm-predict", "--endpoint", "local",
+                   "--in", str(trained_pipeline["val"]), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {config_path}: endpoint profile 'local': " in err and "'timeut'" in err
+        assert not out.exists()
+
+    def test_endpoints_must_be_object(self, trained_pipeline, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"endpoints": ["local"]}))
+        assert run("--config", str(config_path), "llm-predict", "--endpoint", "local",
+                   "--in", str(trained_pipeline["val"]), "--out", str(tmp_path / "x.jsonl")) == 1
+        assert f"error: {config_path}: 'endpoints' must be a json object" in \
+            capsys.readouterr().err
+
 
 class TestMergeCommand:
     def test_merge(self, tmp_path, capsys):
@@ -492,6 +553,17 @@ def test_cli_imports_every_module():
     script = ("import pkgutil, sys, recipe_nutrients, recipe_nutrients.cli\n"
               "print(' '.join(m.name for m in pkgutil.iter_modules(recipe_nutrients.__path__)\n"
               "               if f'recipe_nutrients.{m.name}' not in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize("module", ["dataset", "evaluate", "llm"])
+def test_module_loads_neither_numpy_nor_model_code(module):
+    # the label, prediction and llm stages need no numerical code
+    script = (f"import sys, recipe_nutrients.{module}\n"
+              "print(' '.join(m for m in ('numpy', 'recipe_nutrients.ridge',\n"
+              "                           'recipe_nutrients.features') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             check=True)
     assert result.stdout.split() == []

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import Scripted, completion_body
 
+from recipe_nutrients.dataset import NutrientPrediction, render_answer
 from recipe_nutrients.llm import (
     ChatRequest,
     EndpointConfig,
@@ -25,11 +26,9 @@ from recipe_nutrients.llm import (
     parse_replies,
     refine,
     render_direct_prompt,
-    render_prediction_line,
     render_refine_prompt,
     request_hash,
 )
-from recipe_nutrients.ridge import NutrientPrediction
 
 ANSWER1 = "Nutrient values per 100 g: fat - 8.55, protein - 12.31, saturates - 1.72, sugars - 14.17"
 ANSWER2 = "Nutrient values per 100 g: fat - 14.20, protein - 3.10, saturates - 2.15, sugars - 0.50"
@@ -242,7 +241,7 @@ class TestParseLlmNutrients:
         rng = random.Random(5)
         for _ in range(200):
             original = pred(*(round(rng.uniform(0, 120), rng.randint(0, 3)) for _ in range(4)))
-            recovered = parse_llm_nutrients(render_prediction_line(original))
+            recovered = parse_llm_nutrients(render_answer(original))
             for key in ("fat", "protein", "saturates", "sugars"):
                 assert abs(getattr(recovered, key) - getattr(original, key)) <= 0.005 + 1e-9
 
@@ -273,7 +272,7 @@ class TestParseLlmNutrients:
     def test_round_trip_with_shuffled_keys_and_adversarial_prefixes(self, values, order,
                                                                     prefixes):
         original = pred(*values)
-        head, _, body = render_prediction_line(original).partition(": ")
+        head, _, body = render_answer(original).partition(": ")
         parts = body.split(", ")
         text = prefixes[4] + head + ": " + ", ".join(prefixes[i] + parts[i] for i in order)
         recovered = parse_llm_nutrients(text)
