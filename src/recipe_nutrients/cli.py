@@ -10,6 +10,11 @@ by the llm subcommands, and any other top-level key is an error. Train runs
 the paper's fixed configuration: the four scored nutrients, 8,000 word and
 12,000 char features, and a CG solve per nutrient (tol 1e-8, at most 1,000
 iterations), and replaces the model and its vectorizer file together.
+
+Only train, predict and bench import ``features`` and ``ridge`` (and with
+them numpy), inside the functions that use them, so the other stages start
+without numpy; ``requests`` is loaded only when a request is sent
+(``llm.complete``).
 """
 
 from __future__ import annotations
@@ -19,10 +24,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import dataset, evaluate as ev, features, llm, ridge
+from . import dataset, evaluate as ev, llm
 from .dataset import SCORED_NUTRIENTS
 from .util import atomic_write, replace_together
+
+if TYPE_CHECKING:
+    from . import ridge
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -118,12 +127,17 @@ def _parse_alpha_grid(text: str) -> list[float]:
 def _predictions(model: ridge.RidgeModel, matrix, samples: list[dataset.RecipeSample]
                  ) -> dict[str, dataset.NutrientPrediction]:
     """The scored nutrients of each sample, by id, from one batched prediction."""
+    from . import ridge
+
     columns = [model.targets.index(n) for n in dataset.NutrientPrediction.KEYS]
     rows = ridge.predict_batch(model, matrix)[:, columns].tolist()
     return {s.id: dataset.NutrientPrediction(*row) for s, row in zip(samples, rows)}
 
 
 def cmd_train(args, config: dict) -> int:
+    vocab_path = args.vectorizer_out or f"{args.out}.vocab.json"
+    if Path(vocab_path).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--vectorizer-out and --out name the same file: {vocab_path}")
     if args.alpha_grid is not None:
         alphas = _parse_alpha_grid(args.alpha_grid)
         if not args.val:
@@ -132,6 +146,8 @@ def cmd_train(args, config: dict) -> int:
         raise ValueError("--val and --rules apply only with --alpha-grid")
     else:
         alphas = [args.alpha]
+    from . import features, ridge
+
     # checks the first alpha before any work starts
     cfg = ridge.RidgeConfig(alpha=alphas[0])
 
@@ -170,7 +186,6 @@ def cmd_train(args, config: dict) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     model.vectorizer_fingerprint = cv.fingerprint()
-    vocab_path = args.vectorizer_out or f"{args.out}.vocab.json"
     # the model goes last: a crash between the renames leaves a pair that
     # predict refuses by its fingerprint
     with replace_together():
@@ -181,6 +196,8 @@ def cmd_train(args, config: dict) -> int:
 
 
 def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
+    from . import features, ridge
+
     model = ridge.load_model(model_path)
     missing = [n for n in SCORED_NUTRIENTS if n not in model.targets]
     if missing:
@@ -196,6 +213,8 @@ def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
 
 
 def cmd_predict(args, config: dict) -> int:
+    from . import features
+
     model, cv = _load_model_and_vectorizer(args.model, args.vectorizer)
     samples = dataset.load_samples(args.infile)
     matrix = features.transform_batch([s.ingredient_text for s in samples], cv)
@@ -268,6 +287,8 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_bench(args, config: dict) -> int:
+    from . import features, ridge
+
     model, cv = _load_model_and_vectorizer(args.model, args.vectorizer)
     samples = dataset.load_samples(args.infile)
     texts = [s.ingredient_text for s in samples]

@@ -22,12 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .dataset import NutrientPrediction, ParseError, render_answer, scan_nutrient_pairs
 from .util import format_decimal, load_jsonl, parse_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -168,6 +169,8 @@ _thread_state = threading.local()
 
 def _session() -> requests.Session:
     """This thread's HTTP session, so its requests reuse kept-alive connections."""
+    import requests  # here and in complete() only, so a replay from --cache never loads it
+
     session = getattr(_thread_state, "session", None)
     if session is None:
         session = _thread_state.session = requests.Session()
@@ -192,6 +195,8 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
     (connection errors, timeouts, HTTP 429/5xx) retry with exponential backoff
     up to max_retries; other non-2xx statuses fail immediately.
     """
+    import requests
+
     headers = {"Content-Type": "application/json"}
     key = _api_key(ep)
     if key:

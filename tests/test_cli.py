@@ -1,4 +1,6 @@
+import ast
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import Scripted, completion_body, make_raw_rows, write_jsonl
+from conftest import Scripted, ScriptedServer, completion_body, make_raw_rows, write_jsonl
 
 from recipe_nutrients import cli, ridge
 from recipe_nutrients.evaluate import load_predictions
@@ -307,6 +309,18 @@ class TestTrainPredictEvaluate:
         assert "error: --val and --rules apply only with --alpha-grid" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("vectorizer_out",
+                             ["d/m.bin", "./d/m.bin", "d/../d/m.bin", "{tmp}/d/m.bin"])
+    def test_vectorizer_out_same_as_out_rejected(self, tmp_path, capsys, monkeypatch,
+                                                 vectorizer_out):
+        # rejected before any file is read: the training file does not exist
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert run("train", "--train", "train.jsonl", "--out", "d/m.bin",
+                   "--vectorizer-out", vectorizer_out.format(tmp=tmp_path)) == 1
+        assert "error: --vectorizer-out and --out name the same file" in capsys.readouterr().err
+        assert list((tmp_path / "d").iterdir()) == []
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
     def test_bad_alpha_rejected_before_work(self, trained_pipeline, tmp_path, capsys, alpha):
         model_path = tmp_path / "model.bin"
@@ -548,22 +562,107 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports, at module level or inside a
+    function; imports made only for type checking do not count."""
+    found = set()
+    nodes = [ast.parse(path.read_text(encoding="utf-8"))]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            nodes.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # from .x import y, or from . import x, y
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_cli_imports_every_module():
-    # a module that no pipeline stage imports is dead code
-    script = ("import pkgutil, sys, recipe_nutrients, recipe_nutrients.cli\n"
-              "print(' '.join(m.name for m in pkgutil.iter_modules(recipe_nutrients.__path__)\n"
-              "               if f'recipe_nutrients.{m.name}' not in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            check=True)
-    assert result.stdout.split() == []
+    # a module that no pipeline stage imports is dead code; stages import some
+    # modules inside their own functions, so follow the source, not sys.modules
+    package = Path(cli.__file__).parent
+    modules = {m.name for m in pkgutil.iter_modules([str(package)])}
+    reached, pending = set(), ["cli"]
+    while pending:
+        module = pending.pop()
+        if module in reached or module not in modules:
+            continue
+        reached.add(module)
+        pending.extend(_package_imports(package / f"{module}.py"))
+    assert sorted(modules - reached) == []
 
 
-@pytest.mark.parametrize("module", ["dataset", "evaluate", "llm"])
+@pytest.mark.parametrize("module", ["cli", "dataset", "evaluate", "llm"])
 def test_module_loads_neither_numpy_nor_model_code(module):
-    # the label, prediction and llm stages need no numerical code
+    # the label, prediction and llm stages need no numerical code, and no HTTP
+    # client until a request is sent
     script = (f"import sys, recipe_nutrients.{module}\n"
-              "print(' '.join(m for m in ('numpy', 'recipe_nutrients.ridge',\n"
+              "print(' '.join(m for m in ('numpy', 'requests', 'recipe_nutrients.ridge',\n"
               "                           'recipe_nutrients.features') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             check=True)
     assert result.stdout.split() == []
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(trained_pipeline, tmp_path_factory):
+    """Small inputs for every stage; the llm-predict and refine transcripts are
+    recorded against a stub that is stopped before any replay."""
+    root = tmp_path_factory.mktemp("stages")
+    train, val = root / "train.jsonl", root / "val.jsonl"
+    save_samples(train, load_samples(trained_pipeline["train"])[:40])
+    save_samples(val, load_samples(trained_pipeline["val"])[:4])
+    preds = root / "preds.jsonl"
+    assert run("predict", "--model", str(trained_pipeline["model"]), "--in", str(val),
+               "--out", str(preds)) == 0
+    (root / "ids.txt").write_text(load_samples(val)[0].id + "\n")
+    stub = ScriptedServer()
+    try:
+        # one reply that both parsers read
+        stub.reply_with('{"protein_g": 5, "fat_g": 6, "sugars_g": 7, "saturates_g": 8} '
+                        "fat - 4, protein - 3, saturates - 2, sugars - 1")
+        config = stub_config(root, stub)
+        for command in ("llm-predict", "refine"):
+            argv = ["--config", config, command, "--endpoint", "local", "--in", str(val),
+                    "--out", str(root / f"{command}.jsonl"),
+                    "--cache", str(root / f"{command}.transcript.jsonl")]
+            assert run(*argv, *(["--pred", str(preds)] if command == "refine" else [])) == 0
+    finally:
+        stub.stop()
+    return {"root": root, "train": train, "val": val, "preds": preds, "config": config,
+            "raw": trained_pipeline["raw"], "model": trained_pipeline["model"]}
+
+
+@pytest.mark.parametrize("command", ["prepare", "evaluate", "merge", "llm-predict", "refine",
+                                     "train", "predict", "bench"])
+def test_stage_loads_only_what_it_uses(stage_inputs, command):
+    # each stage in a fresh interpreter, as a user runs it; the llm stages
+    # answer every sample from --cache, and only the model stages load numpy
+    inp, root = stage_inputs, stage_inputs["root"]
+    loaded = ["numpy"] if command in ("train", "predict", "bench") else []
+    llm_args = ["--config", inp["config"], command, "--endpoint", "local",
+                "--in", str(inp["val"]), "--out", str(root / f"replayed-{command}.jsonl"),
+                "--cache", str(root / f"{command}.transcript.jsonl")]
+    argv = {
+        "prepare": ["prepare", "--in", str(inp["raw"]), "--out", str(root / "data")],
+        "evaluate": ["evaluate", "--pred", str(inp["preds"]), "--labels", str(inp["val"])],
+        "merge": ["merge", "--base", str(inp["preds"]), "--override", str(inp["preds"]),
+                  "--ids", str(root / "ids.txt"), "--out", str(root / "merged.jsonl")],
+        "llm-predict": llm_args,
+        "refine": [*llm_args, "--pred", str(inp["preds"])],
+        "train": ["train", "--train", str(inp["train"]), "--out", str(root / "m.bin")],
+        "predict": ["predict", "--model", str(inp["model"]), "--in", str(inp["val"]),
+                    "--out", str(root / "p.jsonl")],
+        "bench": ["bench", "--model", str(inp["model"]), "--in", str(inp["val"]),
+                  "--warmup", "1"],
+    }[command]
+    script = ("import sys\n"
+              "from recipe_nutrients import cli\n"
+              "code = cli.run(sys.argv[1:])\n"
+              "print(code, *(m for m in ('numpy', 'requests') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.splitlines()[-1].split() == ["0", *loaded], result.stderr
