@@ -9,7 +9,10 @@ json config file holds only the named endpoint profiles (``endpoints``) used
 by the llm subcommands, and any other top-level key is an error. Train runs
 the paper's fixed configuration: the four scored nutrients, 8,000 word and
 12,000 char features, and a CG solve per nutrient (tol 1e-8, at most 1,000
-iterations), and replaces the model and its vectorizer file together.
+iterations), and replaces the model and its vectorizer file together. The
+vectorizer file always sits next to the model, at ``<model>.vocab.json``,
+where predict and bench read it; bench times each sample after 100 warm-up
+predictions.
 
 Only train, predict and bench import ``features`` and ``ridge`` (and with
 them numpy), inside the functions that use them, so the other stages start
@@ -135,9 +138,6 @@ def _predictions(model: ridge.RidgeModel, matrix, samples: list[dataset.RecipeSa
 
 
 def cmd_train(args, config: dict) -> int:
-    vocab_path = args.vectorizer_out or f"{args.out}.vocab.json"
-    if Path(vocab_path).resolve() == Path(args.out).resolve():
-        raise ValueError(f"--vectorizer-out and --out name the same file: {vocab_path}")
     if args.alpha_grid is not None:
         alphas = _parse_alpha_grid(args.alpha_grid)
         if not args.val:
@@ -186,6 +186,7 @@ def cmd_train(args, config: dict) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     model.vectorizer_fingerprint = cv.fingerprint()
+    vocab_path = f"{args.out}.vocab.json"
     # the model goes last: a crash between the renames leaves a pair that
     # predict refuses by its fingerprint
     with replace_together():
@@ -195,7 +196,7 @@ def cmd_train(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
+def _load_model_and_vectorizer(model_path: str):
     from . import features, ridge
 
     model = ridge.load_model(model_path)
@@ -203,7 +204,7 @@ def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
     if missing:
         raise ValueError(f"{model_path}: model lacks scored nutrients {', '.join(missing)} "
                          f"(targets: {', '.join(model.targets)}); retrain it")
-    vocab_path = vectorizer_path or f"{model_path}.vocab.json"
+    vocab_path = f"{model_path}.vocab.json"
     cv = features.CombinedVectorizer.load(vocab_path)
     if model.vectorizer_fingerprint and model.vectorizer_fingerprint != cv.fingerprint():
         raise ValueError(
@@ -215,7 +216,7 @@ def _load_model_and_vectorizer(model_path: str, vectorizer_path: str | None):
 def cmd_predict(args, config: dict) -> int:
     from . import features
 
-    model, cv = _load_model_and_vectorizer(args.model, args.vectorizer)
+    model, cv = _load_model_and_vectorizer(args.model)
     samples = dataset.load_samples(args.infile)
     matrix = features.transform_batch([s.ingredient_text for s in samples], cv)
     n = ev.save_predictions(args.out, _predictions(model, matrix, samples))
@@ -289,14 +290,14 @@ def cmd_evaluate(args, config: dict) -> int:
 def cmd_bench(args, config: dict) -> int:
     from . import features, ridge
 
-    model, cv = _load_model_and_vectorizer(args.model, args.vectorizer)
+    model, cv = _load_model_and_vectorizer(args.model)
     samples = dataset.load_samples(args.infile)
     texts = [s.ingredient_text for s in samples]
 
     def predict_one(text: str) -> dataset.NutrientPrediction:
         return ridge.predict(model, features.transform_combined(text, cv))
 
-    stats = ev.bench_latency(predict_one, texts, warmup=args.warmup)
+    stats = ev.bench_latency(predict_one, texts, warmup=100)
     print(stats.format_line())
     return EXIT_OK
 
@@ -321,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit vectorizers and ridge model")
     p.add_argument("--train", required=True, help="canonical train.jsonl")
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--vectorizer-out", help="vectorizer output path (default: <out>.vocab.json)")
     penalty = p.add_mutually_exclusive_group()
     penalty.add_argument("--alpha", type=float, default=1.0)
     penalty.add_argument("--alpha-grid", help="comma list, e.g. 0.1,1,10,100 (requires --val)")
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict nutrients with a trained model")
     p.add_argument("--model", required=True)
-    p.add_argument("--vectorizer", help="default: <model>.vocab.json")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
@@ -368,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-sample prediction latency")
     p.add_argument("--model", required=True)
-    p.add_argument("--vectorizer")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--warmup", type=int, default=100)
     p.set_defaults(func=cmd_bench)
 
     return parser

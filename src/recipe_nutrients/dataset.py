@@ -98,8 +98,6 @@ class RecipeSample:
 class DatasetSplit:
     train: list[RecipeSample]
     validation: list[RecipeSample]
-    seed: int
-    ratio: float
 
 
 def load_raw(path: str | Path, format: str = "jsonl") -> list[RawSample]:
@@ -287,7 +285,7 @@ def split(samples: Sequence[RecipeSample], ratio: float, seed: int) -> DatasetSp
     n_train = math.floor(ratio * n + 1e-9)
     train = [samples[i] for i in order[:n_train]]
     validation = [samples[i] for i in order[n_train:]]
-    return DatasetSplit(train=train, validation=validation, seed=seed, ratio=ratio)
+    return DatasetSplit(train=train, validation=validation)
 
 
 def save_samples(path: str | Path, samples: Iterable[RecipeSample]) -> int:

@@ -45,8 +45,8 @@ class ToleranceRule:
         for band in self.bands:
             if band.margin_kind not in MARGIN_KINDS:
                 raise ValueError(f"unknown margin kind {band.margin_kind!r}")
-            if band.margin <= 0:
-                raise ValueError("margins must be > 0")
+            if not (math.isfinite(band.margin) and band.margin > 0):
+                raise ValueError(f"margins must be finite and > 0, got {band.margin!r}")
             if band.lower != expected_lower:
                 raise ValueError(
                     f"bands for {self.nutrient!r} do not partition [0, inf): "
@@ -118,7 +118,6 @@ class NutrientScore:
 @dataclass(frozen=True)
 class EvalReport:
     per_nutrient: dict[str, NutrientScore]
-    n_samples: int
     n_missing: int
 
     def to_dict(self) -> dict:
@@ -169,11 +168,9 @@ def evaluate(preds: Mapping[str, NutrientPrediction],
                                 getattr(pred, nutrient)):
                 within[nutrient] += 1
 
-    n_samples = len(labels)
     return EvalReport(
-        per_nutrient={n: NutrientScore(n_samples=n_samples, n_within=within[n])
+        per_nutrient={n: NutrientScore(n_samples=len(labels), n_within=within[n])
                       for n in SCORED_NUTRIENTS},
-        n_samples=n_samples,
         n_missing=n_missing,
     )
 

@@ -127,18 +127,6 @@ def _char_words(text: str, config: VectorizerConfig) -> list[str]:
     return (text.lower() if config.lowercase else text).split()
 
 
-def char_wb_ngrams(text: str, config: VectorizerConfig) -> list[str]:
-    """Character n-grams padded to word boundaries; grams never span words
-    (the grams of each word in turn, see :func:`word_grams`)."""
-    return [gram for word in _char_words(text, config) for gram in word_grams(word, config)]
-
-
-def analyze(text: str, config: VectorizerConfig) -> list[str]:
-    if config.mode == "word":
-        return tokenize_words(text, config)
-    return char_wb_ngrams(text, config)
-
-
 @dataclass
 class Vocabulary:
     term_to_index: dict[str, int]
@@ -185,8 +173,8 @@ class Vocabulary:
             raise ValueError("vocabulary indices are not dense in [0, size)")
         if len(self.idf) != size:
             raise ValueError("idf length does not match vocabulary size")
-        if size and not np.all(self.idf > 0):
-            raise ValueError("idf values must be > 0")
+        if size and not np.all(np.isfinite(self.idf) & (self.idf > 0)):
+            raise ValueError("idf values must be finite and > 0")
         if size > self.config.max_features:
             raise ValueError("vocabulary exceeds max_features")
 
@@ -206,7 +194,7 @@ def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
         doc_terms = (list(chain.from_iterable(map(grams, _char_words(doc, config))))
                      for doc in corpus)
     else:
-        doc_terms = (analyze(doc, config) for doc in corpus)
+        doc_terms = (tokenize_words(doc, config) for doc in corpus)
     df: Counter[str] = Counter()
     totals: Counter[str] = Counter()
     for terms in doc_terms:
@@ -256,14 +244,6 @@ def _tfidf_rows(keys: np.ndarray, n_rows: int, vocabs: Sequence[Vocabulary]) -> 
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     return CsrMatrix(data=weights, indices=columns, indptr=indptr, shape=(n_rows, int(ends[-1])))
-
-
-def transform(doc: str, vocab: Vocabulary) -> CsrMatrix:
-    """TF-IDF weights of one document as a 1 x len(vocab) row, L2-normalized
-    (a document with no vocabulary term is an empty row)."""
-    columns = np.fromiter(map(vocab.term_to_index.get, analyze(doc, vocab.config), repeat(-1)),
-                          dtype=np.int64)
-    return _tfidf_rows(columns[columns >= 0], 1, (vocab,))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import threading
@@ -109,12 +110,14 @@ class EndpointConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError(f"backoff_base must be finite and >= 0, got {self.backoff_base!r}")
 
 
 @dataclass(frozen=True)
@@ -382,13 +385,6 @@ def parse_refine_json(text: str) -> NutrientPrediction:
             raise ParseError(f"refinement key {key!r} is not a finite number: {value!r:.40}")
         values[key.removesuffix("_g")] = max(0.0, float(value))
     return NutrientPrediction(**values)
-
-
-def refine(ingredient_text: str, pred: NutrientPrediction,
-           ep: EndpointConfig) -> NutrientPrediction:
-    """One refinement pass; any transport or parse failure returns pred unchanged."""
-    reply = _complete_or_none("refinement", render_refine_prompt(ingredient_text, pred), ep)
-    return parse_replies({"refinement": reply}, parse_refine_json).get("refinement", pred)
 
 
 def merge_predictions(base: Mapping[str, NutrientPrediction],

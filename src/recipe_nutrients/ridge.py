@@ -181,17 +181,13 @@ def train(matrix: CsrMatrix,
     return train_path(matrix, labels, targets, [config.alpha], config)[0]
 
 
-def predict_raw(model: RidgeModel, x: CsrMatrix) -> dict[str, float]:
-    """Unclamped per-target linear outputs dot(w, x) + intercept for a one-row matrix."""
+def predict(model: RidgeModel, x: CsrMatrix) -> NutrientPrediction:
+    """The scored nutrients for a one-row matrix, dot(w, x) + intercept clamped at
+    zero from below."""
     if x.shape != (1, model.feature_dim):
         raise ValueError(f"expected one row of dim {model.feature_dim}, got shape {x.shape}")
     raw = model.weights[:, x.indices] @ x.data + model.intercepts
-    return {target: float(value) for target, value in zip(model.targets, raw)}
-
-
-def predict(model: RidgeModel, x: CsrMatrix) -> NutrientPrediction:
-    """The scored nutrients for a one-row matrix, clamped at zero from below."""
-    values = predict_raw(model, x)
+    values = dict(zip(model.targets, raw.tolist()))
     try:
         return NutrientPrediction(**{name: max(0.0, values[name]) for name in SCORED_NUTRIENTS})
     except KeyError as exc:

@@ -25,12 +25,13 @@ from recipe_nutrients import cli
 from recipe_nutrients.dataset import NutrientVector, parse_answer, render_answer
 from recipe_nutrients.evaluate import load_rules, within_tolerance
 from recipe_nutrients.features import (
-    CombinedVectorizer, VectorizerConfig, fit, transform, transform_combined,
+    CombinedVectorizer, VectorizerConfig, char_config, fit, transform_combined,
 )
 from recipe_nutrients.kernels import from_dense
 from recipe_nutrients.llm import (
-    EndpointConfig, FewShotBank, ChatRequest, complete, merge_predictions,
-    parse_llm_nutrients, refine, render_direct_prompt,
+    EndpointConfig, FewShotBank, ChatRequest, complete, complete_many, merge_predictions,
+    parse_llm_nutrients, parse_refine_json, parse_replies, render_direct_prompt,
+    render_refine_prompt,
 )
 from recipe_nutrients.ridge import (
     NutrientPrediction, RidgeConfig, RidgeModel, load_model, predict,
@@ -196,11 +197,14 @@ def test_criterion_4_tfidf_matches_hand_computation():
         for term, expected in ORACLE_IDF.items():
             assert abs(vocab.idf[vocab.term_to_index[term]] - expected) <= 1e-9, term
 
-        vec = transform("olive oil oil corn", vocab)
+        # the row predict and bench build; its word part is columns [0, len(vocab))
+        cv = CombinedVectorizer(word=vocab, char=fit(corpus, char_config(min_df=1)))
+        vec = transform_combined("olive oil oil corn", cv)
         by_term = {term: 0.0 for term in vocab.term_to_index}
         for index, value in zip(vec.indices, vec.data):
-            term = next(t for t, i in vocab.term_to_index.items() if i == int(index))
-            by_term[term] = float(value)
+            if index < len(vocab):
+                term = next(t for t, i in vocab.term_to_index.items() if i == int(index))
+                by_term[term] = float(value)
         for term, expected in ORACLE_TRANSFORM.items():
             assert abs(by_term[term] - expected) <= 1e-9, term
         for term, value in by_term.items():
@@ -319,13 +323,20 @@ def test_criterion_7_llm_tier_offline(endpoint_stub):
         assert complete(ChatRequest(system="s",
                                     messages=({"role": "user", "content": "u"},)), ep) == "ok"
 
-        # refinement falls back on garbage, adopts valid json
+        # refinement, through the calls the refine command makes, falls back
+        # on garbage and adopts valid json
         base = NutrientPrediction(fat=1, protein=2, saturates=3, sugars=4)
+
+        def refine(text: str) -> NutrientPrediction:
+            items = [("s1", render_refine_prompt(text, base))]
+            refined = parse_replies(complete_many(items, ep), parse_refine_json)
+            return merge_predictions({"s1": base}, refined, set(refined))["s1"]
+
         endpoint_stub.default = Scripted(200, completion_body("no numbers here"))
-        assert refine("1 cup oats", base, ep) == base
+        assert refine("1 cup oats") == base
         endpoint_stub.default = Scripted(200, completion_body(
             '{"protein_g": 9, "fat_g": 8, "sugars_g": 7, "saturates_g": 6}'))
-        assert refine("1 cup oats", base, ep) == NutrientPrediction(
+        assert refine("1 cup oats") == NutrientPrediction(
             fat=8, protein=9, saturates=6, sugars=7)
 
         # merge changes exactly the given id set

@@ -1,7 +1,9 @@
 import ast
 import json
+import math
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -133,7 +135,7 @@ class TestTrainPredictEvaluate:
         assert sum(report[n]["accuracy"] for n in report) / 4 > 30.0
 
     def test_fingerprint_mismatch_refused(self, trained_pipeline, tmp_path, capsys):
-        # retrain a vectorizer on different data and point predict at it
+        # retrain a vectorizer on different data and pair the model with it
         other_raw = tmp_path / "other.jsonl"
         write_jsonl(other_raw, make_raw_rows(120, seed=99))
         other_dir = tmp_path / "other"
@@ -142,8 +144,10 @@ class TestTrainPredictEvaluate:
         assert run("train", "--train", str(other_dir / "train.jsonl"),
                    "--out", str(other_model)) == 0
         capsys.readouterr()
-        assert run("predict", "--model", str(trained_pipeline["model"]),
-                   "--vectorizer", f"{other_model}.vocab.json",
+        model_path = tmp_path / "model.bin"
+        shutil.copyfile(trained_pipeline["model"], model_path)
+        shutil.copyfile(f"{other_model}.vocab.json", f"{model_path}.vocab.json")
+        assert run("predict", "--model", str(model_path),
                    "--in", str(trained_pipeline["val"]),
                    "--out", str(tmp_path / "p.jsonl")) == 1
         assert "fingerprint" in capsys.readouterr().err
@@ -158,10 +162,9 @@ class TestTrainPredictEvaluate:
             vectorizer_fingerprint=full.vectorizer_fingerprint)
         model_path = tmp_path / "fat.bin"
         ridge.save_model(fat_only, model_path)
+        shutil.copyfile(f"{trained_pipeline['model']}.vocab.json", f"{model_path}.vocab.json")
         out = tmp_path / "p.jsonl"
-        argv = [command, "--model", str(model_path),
-                "--vectorizer", f"{trained_pipeline['model']}.vocab.json",
-                "--in", str(trained_pipeline["val"])]
+        argv = [command, "--model", str(model_path), "--in", str(trained_pipeline["val"])]
         assert run(*argv, *(["--out", str(out)] if command == "predict" else [])) == 1
         err = capsys.readouterr().err
         assert f"{model_path}: model lacks scored nutrients protein, saturates, sugars" in err
@@ -230,11 +233,12 @@ class TestTrainPredictEvaluate:
         model.vectorizer_fingerprint = cv.fingerprint()
         permuted_path = tmp_path / "permuted.bin"
         ridge.save_model(model, permuted_path)
+        shutil.copyfile(vocab_path, f"{permuted_path}.vocab.json")
         rows = []
         for name, model_path in [("canonical", trained_pipeline["model"]),
                                  ("permuted", permuted_path)]:
             out = tmp_path / f"{name}.jsonl"
-            assert run("predict", "--model", str(model_path), "--vectorizer", vocab_path,
+            assert run("predict", "--model", str(model_path),
                        "--in", str(trained_pipeline["val"]), "--out", str(out)) == 0
             rows.append([json.loads(line) for line in out.read_text().splitlines()])
         capsys.readouterr()
@@ -245,7 +249,7 @@ class TestTrainPredictEvaluate:
         values = [np.array([[row[n] for n in scored] for row in part]) for part in rows]
         assert np.abs(values[0] - values[1]).max() <= 1e-9
 
-    @pytest.mark.parametrize("case", ["rules", "vocab", "term_to_index"])
+    @pytest.mark.parametrize("case", ["rules", "vocab", "term_to_index", "idf"])
     def test_malformed_data_file_names_file(self, trained_pipeline, tmp_path, capsys, case):
         bad, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
         if case == "rules":
@@ -259,11 +263,16 @@ class TestTrainPredictEvaluate:
             vocab = json.loads(Path(f"{trained_pipeline['model']}.vocab.json").read_text())
             if case == "vocab":
                 vocab = [1, 2]
-            else:
+            elif case == "term_to_index":
                 vocab["word"]["term_to_index"] = []
+            else:
+                vocab["word"]["idf"][0] = math.inf
+            model_path = tmp_path / "model.bin"
+            shutil.copyfile(trained_pipeline["model"], model_path)
+            bad = tmp_path / "model.bin.vocab.json"
             bad.write_text(json.dumps(vocab))
-            argv = ["predict", "--model", str(trained_pipeline["model"]), "--vectorizer",
-                    str(bad), "--in", str(trained_pipeline["val"]), "--out", str(out)]
+            argv = ["predict", "--model", str(model_path), "--in", str(trained_pipeline["val"]),
+                    "--out", str(out)]
         capsys.readouterr()
         assert run(*argv) == 1
         assert f"error: {bad}: " in capsys.readouterr().err
@@ -309,18 +318,6 @@ class TestTrainPredictEvaluate:
         assert "error: --val and --rules apply only with --alpha-grid" in capsys.readouterr().err
         assert not model_path.exists()
 
-    @pytest.mark.parametrize("vectorizer_out",
-                             ["d/m.bin", "./d/m.bin", "d/../d/m.bin", "{tmp}/d/m.bin"])
-    def test_vectorizer_out_same_as_out_rejected(self, tmp_path, capsys, monkeypatch,
-                                                 vectorizer_out):
-        # rejected before any file is read: the training file does not exist
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "d").mkdir()
-        assert run("train", "--train", "train.jsonl", "--out", "d/m.bin",
-                   "--vectorizer-out", vectorizer_out.format(tmp=tmp_path)) == 1
-        assert "error: --vectorizer-out and --out name the same file" in capsys.readouterr().err
-        assert list((tmp_path / "d").iterdir()) == []
-
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
     def test_bad_alpha_rejected_before_work(self, trained_pipeline, tmp_path, capsys, alpha):
         model_path = tmp_path / "model.bin"
@@ -335,7 +332,7 @@ class TestTrainPredictEvaluate:
 class TestBench:
     def test_bench_prints_stats(self, trained_pipeline, capsys):
         assert run("bench", "--model", str(trained_pipeline["model"]),
-                   "--in", str(trained_pipeline["val"]), "--warmup", "5") == 0
+                   "--in", str(trained_pipeline["val"])) == 0
         output = capsys.readouterr().out
         assert "mean=" in output and "p95=" in output
 
@@ -495,6 +492,19 @@ class TestLlmCommands:
         assert f"error: {config_path}: endpoint profile 'local': " in err and "'timeut'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("timeout", math.nan), ("timeout", math.inf),
+                                            ("backoff_base", -1.0), ("backoff_base", math.nan)])
+    def test_bad_timing_names_file_and_profile(self, trained_pipeline, endpoint_stub, tmp_path,
+                                               capsys, key, value):
+        config = stub_config(tmp_path, endpoint_stub, **{key: value})
+        out = tmp_path / "x.jsonl"
+        assert run("--config", config, "llm-predict", "--endpoint", "local",
+                   "--in", str(trained_pipeline["val"]), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}: endpoint profile 'local': {key} must be finite" in err
+        assert not out.exists()
+        assert endpoint_stub.requests == []
+
     def test_endpoints_must_be_object(self, trained_pipeline, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"endpoints": ["local"]}))
@@ -554,7 +564,11 @@ class TestConfigFile:
 @pytest.mark.parametrize("argv", [
     ["train", "--targets", "fat"], ["train", "--tol", "1e-6"], ["train", "--max-iter", "10"],
     ["train", "--word-features", "100"], ["train", "--char-features", "100"],
-    ["evaluate", "--pred", "p.jsonl", "--labels", "v.jsonl", "--nutrients", "fat"]])
+    ["evaluate", "--pred", "p.jsonl", "--labels", "v.jsonl", "--nutrients", "fat"],
+    ["train", "--vectorizer-out", "v.json"],
+    ["predict", "--model", "m.bin", "--in", "v.jsonl", "--out", "p.jsonl", "--vectorizer", "v.json"],
+    ["bench", "--model", "m.bin", "--in", "v.jsonl", "--vectorizer", "v.json"],
+    ["bench", "--model", "m.bin", "--in", "v.jsonl", "--warmup", "5"]])
 def test_removed_flags_are_usage_errors(argv, capsys):
     if argv[0] == "train":
         argv = [*argv, "--train", "t.jsonl", "--out", "m.bin"]
@@ -656,8 +670,7 @@ def test_stage_loads_only_what_it_uses(stage_inputs, command):
         "train": ["train", "--train", str(inp["train"]), "--out", str(root / "m.bin")],
         "predict": ["predict", "--model", str(inp["model"]), "--in", str(inp["val"]),
                     "--out", str(root / "p.jsonl")],
-        "bench": ["bench", "--model", str(inp["model"]), "--in", str(inp["val"]),
-                  "--warmup", "1"],
+        "bench": ["bench", "--model", str(inp["model"]), "--in", str(inp["val"])],
     }[command]
     script = ("import sys\n"
               "from recipe_nutrients import cli\n"

@@ -1,5 +1,8 @@
 import json
+import math
+import re
 import time
+from importlib import resources
 
 import pytest
 
@@ -182,6 +185,16 @@ class TestRulesFile:
 
     def test_notes_keys_ignored(self, rules):
         assert "_notes" not in rules
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_names_file(self, tmp_path, margin):
+        packaged = resources.files("recipe_nutrients.data") / "eu_tolerances.json"
+        raw = json.loads(packaged.read_text(encoding="utf-8"))
+        raw["fat"][0]["margin"] = margin
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*finite"):
+            load_rules(path)
 
 
 class TestBenchLatency:

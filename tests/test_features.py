@@ -14,18 +14,16 @@ from recipe_nutrients import features
 from recipe_nutrients.features import (
     CombinedVectorizer,
     VectorizerConfig,
-    analyze,
     char_config,
-    char_wb_ngrams,
     fit,
     fit_combined,
     tokenize_words,
-    transform,
     transform_batch,
     transform_combined,
     word_config,
     word_grams,
 )
+from recipe_nutrients.kernels import CsrMatrix
 
 
 def wcfg(**kw):
@@ -64,26 +62,30 @@ class TestTokenizeWords:
 
 class TestCharWbNgrams:
     def test_two_letter_word(self):
-        assert char_wb_ngrams("ab", ccfg(3, 3)) == [" ab", "ab "]
+        assert word_grams("ab", ccfg(3, 3)) == [" ab", "ab "]
 
     def test_empty(self):
-        assert char_wb_ngrams("", ccfg()) == []
+        # a document without words has no grams
+        with pytest.raises(ValueError, match="survived"):
+            fit(["", " \t "], ccfg())
 
     def test_word_shorter_than_n(self):
-        assert char_wb_ngrams("oil", ccfg(5, 5)) == [" oil "]
+        assert word_grams("oil", ccfg(5, 5)) == [" oil "]
 
     def test_short_word_emitted_once_across_sizes(self):
         # padded " ab " has length 4: full enumeration at n=3, whole word at n=4, stop
-        assert char_wb_ngrams("ab", ccfg(3, 5)) == [" ab", "ab ", " ab "]
+        assert word_grams("ab", ccfg(3, 5)) == [" ab", "ab ", " ab "]
 
     def test_never_spans_words(self):
-        grams = char_wb_ngrams("olive oil, raw", ccfg(3, 5))
-        for gram in grams:
+        terms = fit(["olive oil, raw"], ccfg(3, 5)).term_to_index
+        assert " raw " in terms and "oil, " in terms
+        for gram in terms:
             assert " " not in gram[1:-1], gram
 
     def test_punctuation_stays_inside_words(self):
-        assert " co" in char_wb_ngrams("corn,", ccfg(3, 3))
-        assert "rn, " not in char_wb_ngrams("corn,", ccfg(3, 3))
+        terms = fit(["corn,"], ccfg(3, 3)).term_to_index
+        assert " co" in terms and "n, " in terms
+        assert "rn, " not in terms
 
 
 class TestFit:
@@ -138,21 +140,31 @@ class TestFit:
             assert config.min_df <= df <= config.max_df * len(docs)
 
 
+def word_row(doc, vocab):
+    """The word part, columns [0, len(vocab)), of ``doc``'s row, built by
+    transform_combined with ``vocab`` as the word vocabulary."""
+    cv = CombinedVectorizer(word=vocab, char=fit(["aa bb cc"], ccfg()))
+    row = transform_combined(doc, cv)
+    n = int(np.count_nonzero(row.indices < len(vocab)))
+    return CsrMatrix(data=row.data[:n], indices=row.indices[:n],
+                     indptr=np.array([0, n]), shape=(1, len(vocab)))
+
+
 class TestTransform:
     def test_out_of_vocabulary_doc_is_zero(self):
         vocab = fit(["aa bb", "aa cc"], wcfg())
-        vec = transform("zz yy", vocab)
+        vec = word_row("zz yy", vocab)
         assert vec.nnz == 0 and vec.shape == (1, 3)
 
     def test_single_term_is_unit(self):
         vocab = fit(["aa bb", "aa cc"], wcfg())
-        vec = transform("bb", vocab)
+        vec = word_row("bb", vocab)
         assert vec.data.tolist() == [1.0]
 
     def test_frozen_weights(self):
         # oracle: weights before norm {aa: 1*1.0, bb: (1+ln 2) * (ln(3/2)+1)}
         vocab = fit(["aa bb", "aa cc"], wcfg())
-        vec = transform("aa bb bb", vocab)
+        vec = word_row("aa bb bb", vocab)
         expected = {vocab.term_to_index["aa"]: 0.3874113305052739,
                     vocab.term_to_index["bb"]: 0.9219069698164416}
         assert vec.nnz == 2
@@ -162,18 +174,18 @@ class TestTransform:
     def test_norm_is_one_or_zero(self):
         vocab = fit(["aa bb cc", "bb cc dd", "ee ff"], wcfg())
         for doc in ["aa bb", "ee", "zz", "aa aa bb cc dd ee ff"]:
-            norm = np.linalg.norm(transform(doc, vocab).data)
+            norm = np.linalg.norm(word_row(doc, vocab).data)
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
 
     def test_deterministic(self):
         vocab = fit(["aa bb", "aa cc"], wcfg())
-        a, b = transform("aa bb", vocab), transform("aa bb", vocab)
+        a, b = word_row("aa bb", vocab), word_row("aa bb", vocab)
         assert a.indices.tolist() == b.indices.tolist()
         assert a.data.tolist() == b.data.tolist()
 
     def test_indices_strictly_increasing(self):
         vocab = fit(["aa bb cc dd ee", "bb dd"], wcfg())
-        vec = transform("ee dd cc bb aa", vocab)
+        vec = word_row("ee dd cc bb aa", vocab)
         assert all(a < b for a, b in zip(vec.indices, vec.indices[1:]))
 
 
@@ -215,10 +227,31 @@ PROPERTY_CV = fit_combined(["olive oil", "corn oil, raw", "butter and corn"],
 PROPERTY_WORDS = ["olive", "oil", "Oil,", "corn", "raw", "butter", "and", "of", "qx", "zz"]
 
 
+def reference_word_grams(word, config):
+    """The char_wb grams of one word, enumerated size by size."""
+    padded = f" {word} "
+    grams = []
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        if len(padded) <= n:
+            grams.append(padded)
+            break
+        grams.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
+    return grams
+
+
+def reference_terms(doc, config):
+    """A document's terms: its word n-grams, or the char_wb grams of each of
+    its whitespace-separated words in turn."""
+    if config.mode == "word":
+        return tokenize_words(doc, config)
+    text = doc.lower() if config.lowercase else doc
+    return [gram for word in text.split() for gram in reference_word_grams(word, config)]
+
+
 def dense_tfidf(doc, vocab):
     """Reference row: TF-IDF from the term counts, one dense column per vocabulary term."""
     row = np.zeros(len(vocab))
-    for term, tf in Counter(analyze(doc, vocab.config)).items():
+    for term, tf in Counter(reference_terms(doc, vocab.config)).items():
         if term in vocab.term_to_index:
             weight = 1.0 + math.log(tf) if vocab.config.sublinear_tf else float(tf)
             row[vocab.term_to_index[term]] = weight * vocab.idf[vocab.term_to_index[term]]
@@ -259,23 +292,11 @@ unicode_docs = st.lists(
     max_size=8)
 
 
-def reference_word_grams(word, config):
-    """The char_wb grams of one word, enumerated size by size."""
-    padded = f" {word} "
-    grams = []
-    for n in range(config.ngram_min, config.ngram_max + 1):
-        if len(padded) <= n:
-            grams.append(padded)
-            break
-        grams.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
-    return grams
-
-
 def reference_fit(corpus, config):
-    """term_to_index and idf from counting each document's analyze output."""
+    """term_to_index and idf from counting each document's reference terms."""
     df, totals = Counter(), Counter()
     for doc in corpus:
-        counts = Counter(analyze(doc, config))
+        counts = Counter(reference_terms(doc, config))
         totals.update(counts)
         df.update(counts.keys())
     n = len(corpus)

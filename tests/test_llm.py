@@ -24,7 +24,6 @@ from recipe_nutrients.llm import (
     parse_llm_nutrients,
     parse_refine_json,
     parse_replies,
-    refine,
     render_direct_prompt,
     render_refine_prompt,
     request_hash,
@@ -344,6 +343,14 @@ class TestParseReplies:
             preds = parse_replies(replies, parse_llm_nutrients)
         assert preds == {"ok": parse_llm_nutrients(ANSWER1)}
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["garbage"]
+
+
+def refine(text, base, ep):
+    """One sample through the calls the refine command makes; a sample whose
+    request or reply fails keeps its input prediction."""
+    items = [("s1", render_refine_prompt(text, base))]
+    refined = parse_replies(complete_many(items, ep), parse_refine_json)
+    return merge_predictions({"s1": base}, refined, set(refined))["s1"]
 
 
 class TestRefine:

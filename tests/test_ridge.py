@@ -16,7 +16,6 @@ from recipe_nutrients.ridge import (
     load_model,
     predict,
     predict_batch,
-    predict_raw,
     save_model,
     train,
     train_path,
@@ -67,7 +66,8 @@ class TestTrain:
         model = train(from_dense(X), labels_for(y), ["fat"],
                       RidgeConfig(alpha=1e12, fit_intercept=True, solver_tol=1e-12))
         for i in range(5):
-            assert predict_raw(model, from_dense(X[i:i + 1]))["fat"] == pytest.approx(y.mean(), abs=1e-3)
+            raw = model.weights @ X[i] + model.intercepts
+            assert raw[0] == pytest.approx(y.mean(), abs=1e-3)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(1)
@@ -243,13 +243,13 @@ class TestPredict:
     def test_one_hot_probe(self):
         weights = np.arange(8, dtype=np.float64).reshape(4, 2)
         model = self.make_model(weights, [0.5, 0.5, 0.5, 0.5])
-        values = predict_raw(model, sparse_unit(1, 2))
-        assert values == {"fat": 1.5, "protein": 3.5, "saturates": 5.5, "sugars": 7.5}
+        assert predict(model, sparse_unit(1, 2)) == NutrientPrediction(
+            fat=1.5, protein=3.5, saturates=5.5, sugars=7.5)
 
     def test_linear_before_clamp(self):
         model = self.make_model(np.ones((4, 3)), [2, 2, 2, 2])
-        x1 = predict_raw(model, sparse_unit(0, 3, 1.0))
-        x3 = predict_raw(model, sparse_unit(0, 3, 3.0))
+        x1 = predict(model, sparse_unit(0, 3, 1.0)).to_dict()
+        x3 = predict(model, sparse_unit(0, 3, 3.0)).to_dict()
         for key in x1:
             assert x3[key] == pytest.approx(3 * (x1[key] - 2) + 2)
 
