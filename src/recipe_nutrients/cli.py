@@ -9,7 +9,10 @@ json config file holds only the named endpoint profiles (``endpoints``) used
 by the llm subcommands, and any other top-level key is an error. Train runs
 the paper's fixed configuration: the four scored nutrients, 8,000 word and
 12,000 char features, and a CG solve per nutrient (tol 1e-8, at most 1,000
-iterations), and replaces the model and its vectorizer file together. The
+iterations), the four solves running side by side on the usable CPUs, and
+replaces the model and its vectorizer file together; with ``--alpha-grid`` it
+builds the validation rows only after the solve, once the training rows are
+dropped. The
 vectorizer file always sits next to the model, at ``<model>.vocab.json``,
 where predict and bench read it; bench times each sample after 100 warm-up
 predictions.
@@ -164,12 +167,16 @@ def cmd_train(args, config: dict) -> int:
     if args.alpha_grid is not None:
         val_samples = dataset.load_samples(args.val)
         val_labels = _labeled_samples(val_samples, args.val)
-        val_matrix = features.transform_batch([s.ingredient_text for s in val_samples], cv)
         rules = ev.load_rules(args.rules)
+        models = ridge.train_path(matrix, labels, alphas=alphas, config=cfg)
+        # the training rows go before the validation rows are built, so the
+        # two matrices never add up in the peak memory
+        del matrix
+        val_matrix = features.transform_batch([s.ingredient_text for s in val_samples], cv)
 
         best = None
         # scored in the order given, so a tie goes to the first alpha
-        for model in ridge.train_path(matrix, labels, alphas=alphas, config=cfg):
+        for model in models:
             report = ev.evaluate(_predictions(model, val_matrix, val_samples), val_labels, rules)
             mean_acc = (sum(sc.accuracy_percent for sc in report.per_nutrient.values())
                         / len(SCORED_NUTRIENTS))

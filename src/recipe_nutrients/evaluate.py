@@ -121,10 +121,12 @@ class EvalReport:
     n_missing: int
 
     def to_dict(self) -> dict:
+        """Each nutrient's scores, and the count of labels without a prediction."""
         return {
-            nutrient: {"n": score.n_samples, "within": score.n_within,
-                       "accuracy": round(score.accuracy_percent, 2)}
-            for nutrient, score in self.per_nutrient.items()
+            **{nutrient: {"n": score.n_samples, "within": score.n_within,
+                          "accuracy": round(score.accuracy_percent, 2)}
+               for nutrient, score in self.per_nutrient.items()},
+            "n_missing": self.n_missing,
         }
 
     def format_table(self) -> str:

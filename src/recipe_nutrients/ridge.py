@@ -3,7 +3,9 @@
 Each target is solved on the regularized normal equations of the column-centred
 design matrix with conjugate gradients; the centring is implicit, so the sparse
 matrix is never densified, and the unpenalized intercept follows from the means.
-One multi-shift CG sequence per target solves a whole grid of penalties.
+One multi-shift CG sequence per target solves a whole grid of penalties, and
+the targets' solves run side by side on a thread pool, one worker per usable
+CPU: numpy releases the GIL in the sparse products, so the solves overlap.
 Predictions clamp at zero because nutrient quantities cannot be negative.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -128,7 +131,19 @@ def train_path(matrix: CsrMatrix,
     run at the smallest alpha, serves every alpha; then b = mean(y) - mu . w.
     Non-convergence is recorded as a model warning, not an error: each system
     is positive definite.
+
+    The targets' solves run on a pool of ``min(len(targets), usable CPUs)``
+    threads. Each solve writes its own row of every model's weights and
+    intercepts, and uses one of the pool's product buffers for its whole run;
+    the buffers are allocated here, one per worker, before the pool starts.
+    Solver stats and warnings are filled afterwards in target order, so the
+    models do not depend on which solve finishes first. A multi-threaded
+    BLAS competes with the pool for the CPUs (README, Notes).
     """
+    # imported here, as predict and bench load this module but start no pool
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
     n, d = matrix.shape
     if n != len(labels):
         raise ValueError(f"got {n} rows but {len(labels)} labels")
@@ -143,10 +158,10 @@ def train_path(matrix: CsrMatrix,
     mu = (matrix.rmatvec(np.ones(n)) / n if config.fit_intercept
           else np.zeros(d, dtype=np.float64))
 
-    def apply_op(z):
-        u = matrix.matvec(z)
+    def apply_op(z, work):
+        u = matrix.matvec(z, work)
         u -= mu @ z
-        out = matrix.rmatvec(u)
+        out = matrix.rmatvec(u, work)
         out -= u.sum() * mu
         out += base_alpha * z
         return out
@@ -154,23 +169,50 @@ def train_path(matrix: CsrMatrix,
     models = [RidgeModel(targets=targets, weights=np.zeros((len(targets), d)),
                          intercepts=np.zeros(len(targets)), feature_dim=d, config=c)
               for c in configs]
-    for t_index, target in enumerate(targets):
-        y = np.asarray([getattr(lv, target) for lv in labels], dtype=np.float64)
+    workers = max(1, min(len(targets), _usable_cpus()))
+    # one nnz-long product buffer per worker, allocated on this thread: the
+    # nnz-sized temporaries a worker would allocate per product stay in its
+    # own malloc arena after they are freed, which raises the peak RSS
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(matrix.nnz, dtype=np.float64))
+
+    def solve(t_index):
+        y = np.asarray([getattr(lv, targets[t_index]) for lv in labels], dtype=np.float64)
         y_mean = float(y.mean()) if config.fit_intercept else 0.0
         y -= y_mean
-        rhs = matrix.rmatvec(y)
-        rhs -= y.sum() * mu
-        solutions, iterations, residuals = _multishift_cg(
-            apply_op, rhs, shifts, config.solver_tol, config.max_iterations)
-        for model, w, its, residual in zip(models, solutions, iterations, residuals):
+        work = buffers.get()
+        try:
+            rhs = matrix.rmatvec(y, work)
+            rhs -= y.sum() * mu
+            solutions, iterations, residuals = _multishift_cg(
+                lambda z: apply_op(z, work), rhs, shifts, config.solver_tol,
+                config.max_iterations)
+        finally:
+            buffers.put(work)
+        for model, w in zip(models, solutions):
             model.weights[t_index] = w
             model.intercepts[t_index] = y_mean - float(mu @ w)
+        return iterations, residuals
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(solve, range(len(targets))))
+    for target, (iterations, residuals) in zip(targets, outcomes):
+        for model, its, residual in zip(models, iterations, residuals):
             model.solver_stats[target] = SolverStats(iterations=its, relative_residual=residual)
             if residual > config.solver_tol:
                 model.warnings.append(
                     f"target {target!r}: cg stopped after {its} iterations "
                     f"with relative residual {residual:.3e}")
     return models
+
+
+def _usable_cpus() -> int:
+    # sched_getaffinity exists on Linux only; elsewhere count every CPU
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def train(matrix: CsrMatrix,

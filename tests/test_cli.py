@@ -14,7 +14,7 @@ from conftest import Scripted, ScriptedServer, completion_body, make_raw_rows, w
 
 from recipe_nutrients import cli, ridge
 from recipe_nutrients.evaluate import load_predictions
-from recipe_nutrients.dataset import load_samples, save_samples
+from recipe_nutrients.dataset import SCORED_NUTRIENTS, load_samples, save_samples
 from recipe_nutrients.features import CombinedVectorizer, transform_batch
 from recipe_nutrients.util import atomic_write
 
@@ -130,9 +130,27 @@ class TestTrainPredictEvaluate:
         output = capsys.readouterr().out
         assert "fat" in output and "accuracy" in output
         report = json.loads(json_out.read_text())
-        assert set(report) == {"fat", "protein", "saturates", "sugars"}
+        assert set(report) == {"fat", "protein", "saturates", "sugars", "n_missing"}
+        assert report["n_missing"] == 0
         # synthetic labels are near-linear in the features: far better than chance
-        assert sum(report[n]["accuracy"] for n in report) / 4 > 30.0
+        assert sum(report[n]["accuracy"] for n in SCORED_NUTRIENTS) / 4 > 30.0
+
+    def test_evaluate_report_counts_missing_predictions(self, trained_pipeline, tmp_path,
+                                                        capsys):
+        preds_path = tmp_path / "preds.jsonl"
+        run("predict", "--model", str(trained_pipeline["model"]),
+            "--in", str(trained_pipeline["val"]), "--out", str(preds_path))
+        # the first label id loses its prediction
+        rows = preds_path.read_text().splitlines(keepends=True)
+        preds_path.write_text("".join(rows[1:]))
+        json_out = tmp_path / "report.json"
+        assert run("evaluate", "--pred", str(preds_path),
+                   "--labels", str(trained_pipeline["val"]),
+                   "--json-out", str(json_out)) == 0
+        assert "missing predictions: 1" in capsys.readouterr().out
+        report = json.loads(json_out.read_text())
+        assert report["n_missing"] == 1
+        assert all(report[n]["n"] == len(rows) for n in SCORED_NUTRIENTS)
 
     def test_fingerprint_mismatch_refused(self, trained_pipeline, tmp_path, capsys):
         # retrain a vectorizer on different data and pair the model with it

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from recipe_nutrients.kernels import from_dense
+from recipe_nutrients.kernels import REPEAT_ROWS, from_dense
 
 
 def random_sparse(rng, rows, cols, density=0.2, empty_rows=()):
@@ -72,6 +72,31 @@ def test_products_match_dense_toarray(problem):
     np.testing.assert_allclose(matrix.matvec(x), matrix.toarray() @ x, rtol=1e-12, atol=1e-9)
     np.testing.assert_allclose(matrix.rmatvec(y), matrix.toarray().T @ y, rtol=1e-12, atol=1e-9)
     assert matrix.matvec(x).dtype == matrix.rmatvec(y).dtype == np.float64
+    assert_work_gives_same_bits(matrix, x, y)
+
+
+def assert_work_gives_same_bits(matrix, x, y):
+    """A work buffer, whatever it holds on entry, changes no bit of either product."""
+    work = np.full(matrix.nnz, np.nan)
+    assert np.array_equal(matrix.matvec(x, work), matrix.matvec(x))
+    work.fill(np.nan)
+    assert np.array_equal(matrix.rmatvec(y, work), matrix.rmatvec(y))
+
+
+def test_work_spans_repeat_blocks():
+    # more rows than one repeat block, empty rows, and a row with more
+    # entries than a block has rows
+    rng = np.random.default_rng(5)
+    rows = 2 * REPEAT_ROWS + 7
+    dense = random_sparse(rng, rows, 3 * REPEAT_ROWS, density=0.05,
+                          empty_rows=(0, REPEAT_ROWS - 1, REPEAT_ROWS, rows - 1))
+    dense[REPEAT_ROWS + 3] = rng.random(3 * REPEAT_ROWS) + 0.5
+    matrix = from_dense(dense)
+    x = rng.normal(size=dense.shape[1])
+    y = rng.normal(size=rows)
+    assert_work_gives_same_bits(matrix, x, y)
+    np.testing.assert_allclose(matrix.rmatvec(y, np.empty(matrix.nnz)), dense.T @ y,
+                               rtol=1e-12, atol=1e-9)
 
 
 def test_from_dense_round_trip():

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import sys
+import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from recipe_nutrients import ridge
 from recipe_nutrients.dataset import NutrientVector
 from recipe_nutrients.kernels import from_dense
 from recipe_nutrients.ridge import (
@@ -222,6 +227,86 @@ def test_path_matches_closed_form_per_alpha(problem):
         np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-6)
         assert model.intercepts[0] == pytest.approx(b, abs=1e-6)
         assert not model.warnings
+
+
+def four_target_problem():
+    """A sparse design and labels whose four scored targets differ."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(60, 30)) * (rng.random((60, 30)) < 0.3)
+    values = rng.random((60, len(ALL))) * 10
+    return from_dense(X), [NutrientVector(*row) for row in values]
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_grid_models_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    matrix, labels = four_target_problem()
+    pool_sizes = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+
+    def saved(name):
+        blobs = []
+        for i, model in enumerate(train_path(matrix, labels, alphas=[0.1, 1.0, 10.0, 100.0])):
+            path = tmp_path / f"{name}-{i}.bin"
+            save_model(model, path)
+            blobs.append(path.read_bytes())
+        return blobs
+
+    unpatched = saved("unpatched")
+    set_cpus(monkeypatch, 1)
+    one_cpu = saved("one")
+    # more workers than cores, switching threads often: a solve that shared
+    # another's buffer or rows would change the bytes
+    set_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        many_cpus = saved("many")
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_sizes[1:] == [1, 4]
+    assert one_cpu == unpatched == many_cpus
+
+
+def test_stats_and_warnings_follow_target_order(monkeypatch):
+    matrix, labels = four_target_problem()
+    targets = ["sugars", "fat", "saturates", "protein"]
+    set_cpus(monkeypatch, 4)
+    solve = ridge._multishift_cg
+    lock = threading.Lock()
+    started, finished = [], []
+    others_done = threading.Event()
+
+    # the first solve to start waits for the other three to finish
+    def first_finishes_last(*args):
+        with lock:
+            started.append(None)
+            first = len(started) == 1
+        if first:
+            others_done.wait(timeout=10)
+        result = solve(*args)
+        if not first:
+            with lock:
+                finished.append(None)
+                if len(finished) == len(targets) - 1:
+                    others_done.set()
+        return result
+
+    monkeypatch.setattr(ridge, "_multishift_cg", first_finishes_last)
+    models = train_path(matrix, labels, targets, [0.01, 1.0],
+                        RidgeConfig(solver_tol=1e-14, max_iterations=1))
+    assert others_done.is_set()
+    for model in models:
+        assert list(model.solver_stats) == targets
+        assert [warning.split("'")[1] for warning in model.warnings] == targets
 
 
 class TestPredict:
