@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # rmatvec fills ``work`` this many rows at a time, because np.repeat has no
-# ``out=``; the block's temporary stays small next to the nnz-long buffer
+# ``out=``; the block's temporary stays small next to the nnz-long buffer, and
+# the multiply by the block's data reads it while it is still in cache
 REPEAT_ROWS = 128
 
 
@@ -40,13 +41,10 @@ class CsrMatrix:
         out = np.zeros(self.shape[0], dtype=np.float64)
         starts = self.indptr[:-1]
         nonempty = starts < self.indptr[1:]
-        if work is None:
-            products = self.data * x[self.indices]
-        else:
-            # the default mode="raise" gathers into a temporary and copies it
-            # to out; "clip" writes out directly, and the indices are in range
-            products = np.take(x, self.indices, out=work, mode="clip")
-            products *= self.data
+        # the default mode="raise" gathers into a temporary and copies it to
+        # out; "clip" writes out directly, and the indices are in range
+        products = np.take(x, self.indices, out=work, mode="clip")
+        products *= self.data
         # reduceat sums from each start to the next, so empty rows (whose start
         # repeats the next row's, or is out of range at the end) are left out
         # and keep their zero
@@ -55,19 +53,17 @@ class CsrMatrix:
 
     def rmatvec(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """z = A.T @ y, scattered with bincount; ``work`` as in :meth:`matvec`."""
-        counts = np.diff(self.indptr)
         if work is None:
-            weights = self.data * np.repeat(y, counts)
-        else:
-            rows = self.shape[0]
-            for start in range(0, rows, REPEAT_ROWS):
-                stop = min(start + REPEAT_ROWS, rows)
-                work[self.indptr[start]:self.indptr[stop]] = np.repeat(
-                    y[start:stop], counts[start:stop])
-            work *= self.data
-            weights = work
+            work = np.empty(self.nnz, dtype=np.float64)
+        counts = np.diff(self.indptr)
+        rows = self.shape[0]
+        for start in range(0, rows, REPEAT_ROWS):
+            stop = min(start + REPEAT_ROWS, rows)
+            lo, hi = self.indptr[start], self.indptr[stop]
+            np.multiply(np.repeat(y[start:stop], counts[start:stop]), self.data[lo:hi],
+                        out=work[lo:hi])
         # bincount of nothing is int64 even with weights; keep float64 for nnz = 0
-        return np.bincount(self.indices, weights=weights,
+        return np.bincount(self.indices, weights=work,
                            minlength=self.shape[1]).astype(np.float64, copy=False)
 
     def toarray(self) -> np.ndarray:

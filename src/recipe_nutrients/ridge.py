@@ -64,6 +64,16 @@ class RidgeModel:
     solver_stats: dict[str, SolverStats] = field(default_factory=dict)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's own sum of products, not BLAS ddot.
+
+    Its summation order is fixed by the length alone, so CG's bits do not
+    depend on the BLAS build or its threads; and a threaded BLAS would spin its
+    own threads between calls on the CPUs the side-by-side solves need.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def _multishift_cg(apply_op, rhs: np.ndarray, shifts: Sequence[float], tol: float,
                    max_iterations: int) -> tuple[np.ndarray, list[int], list[float]]:
     """Solve ``(A + s I) z = rhs`` for every shift ``s >= 0`` from one CG sequence on ``A``.
@@ -79,14 +89,14 @@ def _multishift_cg(apply_op, rhs: np.ndarray, shifts: Sequence[float], tol: floa
     z = np.zeros((k, len(rhs)), dtype=np.float64)
     iterations = [0] * k
     residuals = [0.0] * k
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(_dot(rhs, rhs))
     if rhs_norm == 0.0:
         return z, iterations, residuals
     base = shifts.index(0.0)
     p = np.empty_like(z)
     p[:] = rhs
     r = rhs.copy()
-    rs = float(r @ r)
+    rs = _dot(r, r)
     zeta = [1.0] * k
     zeta_prev = [1.0] * k
     step_prev, beta_prev = 1.0, 0.0
@@ -100,9 +110,9 @@ def _multishift_cg(apply_op, rhs: np.ndarray, shifts: Sequence[float], tol: floa
         if base not in active or iteration == max_iterations:
             break
         ap = apply_op(p[base])
-        step = rs / float(p[base] @ ap)
+        step = rs / _dot(p[base], ap)
         r -= step * ap
-        rs_new = float(r @ r)
+        rs_new = _dot(r, r)
         beta = rs_new / rs
         for i in active:
             zeta_next = (zeta[i] * zeta_prev[i] * step_prev
@@ -137,8 +147,9 @@ def train_path(matrix: CsrMatrix,
     intercepts, and uses one of the pool's product buffers for its whole run;
     the buffers are allocated here, one per worker, before the pool starts.
     Solver stats and warnings are filled afterwards in target order, so the
-    models do not depend on which solve finishes first. A multi-threaded
-    BLAS competes with the pool for the CPUs (README, Notes).
+    models do not depend on which solve finishes first. If one solve raises,
+    the solves not yet started are cancelled (``Executor.map`` does so as its
+    results iterator unwinds), so only those running are waited for.
     """
     # imported here, as predict and bench load this module but start no pool
     import queue
@@ -160,7 +171,7 @@ def train_path(matrix: CsrMatrix,
 
     def apply_op(z, work):
         u = matrix.matvec(z, work)
-        u -= mu @ z
+        u -= _dot(mu, z)
         out = matrix.rmatvec(u, work)
         out -= u.sum() * mu
         out += base_alpha * z
@@ -192,7 +203,7 @@ def train_path(matrix: CsrMatrix,
             buffers.put(work)
         for model, w in zip(models, solutions):
             model.weights[t_index] = w
-            model.intercepts[t_index] = y_mean - float(mu @ w)
+            model.intercepts[t_index] = y_mean - _dot(mu, w)
         return iterations, residuals
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

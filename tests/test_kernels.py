@@ -76,11 +76,21 @@ def test_products_match_dense_toarray(problem):
 
 
 def assert_work_gives_same_bits(matrix, x, y):
-    """A work buffer, whatever it holds on entry, changes no bit of either product."""
+    """With or without a work buffer, whatever it holds on entry, both products
+    give the bits of the plain numpy expressions summed in the same order."""
+    starts = matrix.indptr[:-1]
+    nonempty = starts < matrix.indptr[1:]
+    plain_matvec = np.zeros(matrix.shape[0])
+    plain_matvec[nonempty] = np.add.reduceat(matrix.data * x[matrix.indices], starts[nonempty])
+    plain_rmatvec = np.bincount(matrix.indices,
+                                weights=matrix.data * np.repeat(y, np.diff(matrix.indptr)),
+                                minlength=matrix.shape[1])
     work = np.full(matrix.nnz, np.nan)
-    assert np.array_equal(matrix.matvec(x, work), matrix.matvec(x))
+    assert np.array_equal(matrix.matvec(x, work), plain_matvec)
+    assert np.array_equal(matrix.matvec(x), plain_matvec)
     work.fill(np.nan)
-    assert np.array_equal(matrix.rmatvec(y, work), matrix.rmatvec(y))
+    assert np.array_equal(matrix.rmatvec(y, work), plain_rmatvec)
+    assert np.array_equal(matrix.rmatvec(y), plain_rmatvec)
 
 
 def test_work_spans_repeat_blocks():

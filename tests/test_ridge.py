@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
+import time
 from concurrent import futures
 
 import numpy as np
@@ -307,6 +309,55 @@ def test_stats_and_warnings_follow_target_order(monkeypatch):
     for model in models:
         assert list(model.solver_stats) == targets
         assert [warning.split("'")[1] for warning in model.warnings] == targets
+
+
+def test_failed_solve_cancels_queued_solves(monkeypatch):
+    matrix, labels = four_target_problem()
+    set_cpus(monkeypatch, 1)
+    solve = ridge._multishift_cg
+    calls = []
+
+    def first_raises(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("solve failed")
+        time.sleep(0.2)
+        return solve(*args)
+
+    monkeypatch.setattr(ridge, "_multishift_cg", first_raises)
+    with pytest.raises(RuntimeError, match="solve failed"):
+        train_path(matrix, labels, ALL)
+    # the one worker may have started the second solve before the failure
+    # reached the caller; the four after it never start
+    assert len(calls) <= 2
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from recipe_nutrients.dataset import NutrientVector
+from recipe_nutrients.kernels import from_dense
+from recipe_nutrients.ridge import RidgeConfig, train_path
+rng = np.random.default_rng(3)
+X = rng.random((24, 16384)) * (rng.random((24, 16384)) < 0.02)
+labels = [NutrientVector(*row) for row in rng.random((24, 6)) * 10]
+models = train_path(from_dense(X), labels, ["fat", "sugars"], [0.1, 1.0],
+                    RidgeConfig(max_iterations=30))
+print(hashlib.sha256(b"".join(m.weights.tobytes() + m.intercepts.tobytes()
+                              for m in models)).hexdigest())
+"""
+
+
+def test_models_do_not_depend_on_blas_threads():
+    # over 10,000 features OpenBLAS splits a ddot across its threads, which
+    # changes its sum's order; the solver's dot products do not use BLAS
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        digests.add(subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                                   check=True, capture_output=True, text=True).stdout)
+    assert len(digests) == 1
 
 
 class TestPredict:
