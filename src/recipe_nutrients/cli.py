@@ -12,10 +12,10 @@ the paper's fixed configuration: the four scored nutrients, 8,000 word and
 iterations), the four solves running side by side on the usable CPUs, and
 replaces the model and its vectorizer file together; with ``--alpha-grid`` it
 builds the validation rows only after the solve, once the training rows are
-dropped. The
-vectorizer file always sits next to the model, at ``<model>.vocab.json``,
-where predict and bench read it; bench times each sample after 100 warm-up
-predictions.
+dropped. The vectorizer file always sits next to the model, at
+``<model>.vocab.json``, where predict and bench read it, and they refuse it
+unless its fingerprint is the one the model records (a model without one
+matches no file); bench times each sample after 100 warm-up predictions.
 
 Only train, predict and bench import ``features`` and ``ridge`` (and with
 them numpy), inside the functions that use them, so the other stages start
@@ -48,7 +48,10 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a json object")
     unknown = [key for key in config if key != "endpoints"]
@@ -213,10 +216,10 @@ def _load_model_and_vectorizer(model_path: str):
                          f"(targets: {', '.join(model.targets)}); retrain it")
     vocab_path = f"{model_path}.vocab.json"
     cv = features.CombinedVectorizer.load(vocab_path)
-    if model.vectorizer_fingerprint and model.vectorizer_fingerprint != cv.fingerprint():
+    if model.vectorizer_fingerprint != cv.fingerprint():
         raise ValueError(
-            f"vectorizer fingerprint mismatch: model expects {model.vectorizer_fingerprint}, "
-            f"{vocab_path} has {cv.fingerprint()}")
+            f"{model_path}: vectorizer fingerprint mismatch: model expects "
+            f"{model.vectorizer_fingerprint}, {vocab_path} has {cv.fingerprint()}")
     return model, cv
 
 
@@ -389,8 +392,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except (OSError, TypeError, ValueError, KeyError, LookupError,
-            llm.TransportError, llm.EndpointError) as exc:
+    except (OSError, TypeError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

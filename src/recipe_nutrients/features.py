@@ -339,10 +339,7 @@ class CombinedVectorizer:
 
         words = [_char_words(doc, self.char.config) for doc in docs]
         n_words = np.fromiter(map(len, words), dtype=np.int64, count=n_docs)
-        table = self._char_table
-        columns = [table.get(word) for word in chain.from_iterable(words)]
-        if None in columns:
-            columns = list(map(self._char_columns, chain.from_iterable(words)))
+        columns = list(map(self._char_columns, chain.from_iterable(words)))
         n_columns = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
         char_cols = np.fromiter(chain.from_iterable(columns), dtype=np.int64,
                                 count=int(n_columns.sum()))
@@ -351,13 +348,9 @@ class CombinedVectorizer:
         return _tfidf_rows(np.concatenate((word_keys, char_keys)), n_docs, (self.word, self.char))
 
 
-def fit_combined(corpus: list[str],
-                 word_cfg: VectorizerConfig | None = None,
-                 char_cfg: VectorizerConfig | None = None) -> CombinedVectorizer:
-    return CombinedVectorizer(
-        word=fit(corpus, word_cfg or word_config()),
-        char=fit(corpus, char_cfg or char_config()),
-    )
+def fit_combined(corpus: list[str]) -> CombinedVectorizer:
+    """The paper's word and char_wb vocabularies, fitted on ``corpus``."""
+    return CombinedVectorizer(word=fit(corpus, word_config()), char=fit(corpus, char_config()))
 
 
 def _blocks(docs: Sequence[str]):

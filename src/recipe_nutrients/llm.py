@@ -5,7 +5,8 @@ fixed one-line format) and refinement (the model adjusts an existing
 prediction and returns JSON). Transport speaks the common chat-completions
 HTTP+JSON protocol so both local inference servers and cloud APIs work; all
 endpoint specifics live in EndpointConfig. Every request or parse failure is
-one logged warning and a missing prediction, never an exception.
+one logged warning and a missing prediction, never an exception; transient
+ones (connection errors, timeouts, bodies cut short, HTTP 429/5xx) retry first.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class TransportError(RuntimeError):
 class EndpointError(RuntimeError):
     """The endpoint answered with a terminal error or malformed body."""
 
-    def __init__(self, message: str, status: int | None = None) -> None:
-        super().__init__(message)
-        self.status = status
-
 
 @dataclass(frozen=True)
 class ChatRequest:
@@ -128,11 +125,13 @@ class FewShotBank:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FewShotBank":
-        exemplars = tuple(
-            (str(row["ingredient_text"]), NutrientPrediction.from_dict(row))
-            for row in load_jsonl(path)
-        )
-        return cls(exemplars=exemplars)
+        exemplars = []
+        for index, row in enumerate(load_jsonl(path)):
+            try:
+                exemplars.append((str(row["ingredient_text"]), NutrientPrediction.from_dict(row)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad few-shot record {index}: {exc}") from exc
+        return cls(exemplars=tuple(exemplars))
 
     @classmethod
     def default(cls) -> "FewShotBank":
@@ -195,8 +194,9 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
     """POST the request to {base_url}/chat/completions and return the reply text.
 
     Each thread sends over its own keep-alive session. Transient failures
-    (connection errors, timeouts, HTTP 429/5xx) retry with exponential backoff
-    up to max_retries; other non-2xx statuses fail immediately.
+    (connection errors, timeouts, a body cut short, HTTP 429/5xx) retry with
+    exponential backoff up to max_retries; other non-2xx statuses fail
+    immediately.
     """
     import requests
 
@@ -213,7 +213,8 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
             time.sleep(ep.backoff_base * 2 ** (attempt - 1))
         try:
             response = _session().post(url, json=payload, headers=headers, timeout=ep.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+        except (requests.ConnectionError, requests.Timeout,
+                requests.exceptions.ChunkedEncodingError) as exc:
             last_failure = f"{type(exc).__name__}: {exc}"
             logger.debug("attempt %d failed: %s", attempt + 1, last_failure)
             continue
@@ -223,8 +224,7 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
             continue
         if not 200 <= response.status_code < 300:
             raise EndpointError(
-                f"endpoint returned HTTP {response.status_code}: {response.text[:200]}",
-                status=response.status_code)
+                f"endpoint returned HTTP {response.status_code}: {response.text[:200]}")
         try:
             body = response.json()
             content = body["choices"][0]["message"]["content"]
@@ -241,8 +241,9 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
 class TranscriptCache:
     """Append-only json-lines transcript enabling offline replay of runs.
 
-    A final line cut short by a crash mid-append is skipped with a warning
-    and cut off before the next record is appended; a malformed line
+    Each record is ``{id, request_hash, response}``, three strings. A final
+    line cut short by a crash mid-append is skipped with a warning and cut
+    off before the next record is appended; a malformed line or record
     anywhere else raises ValueError.
     """
 
@@ -257,7 +258,7 @@ class TranscriptCache:
             return
         data = self.path.read_bytes()
         body, _, tail = data.rpartition(b"\n")
-        rows = parse_jsonl(body.decode("utf-8").split("\n"), self.path)
+        rows = parse_jsonl((line.decode("utf-8") for line in body.split(b"\n")), self.path)
         if tail:
             try:
                 rows += parse_jsonl([tail.decode("utf-8")], self.path)
@@ -265,15 +266,19 @@ class TranscriptCache:
             except ValueError:
                 logger.warning("%s: skipping the torn last line (%d bytes)", self.path, len(tail))
                 self._repair = (len(data) - len(tail), b"")
-        for row in rows:
-            self._entries[(str(row["id"]), str(row["request_hash"]))] = str(row["response"])
+        for index, row in enumerate(rows):
+            values = [row.get(key) for key in ("id", "request_hash", "response")]
+            if not all(isinstance(value, str) for value in values):
+                raise ValueError(f"{self.path}: malformed transcript record {index}: id, "
+                                 "request_hash and response must all be strings")
+            sample_id, req_hash, response = values
+            self._entries[(sample_id, req_hash)] = response
 
     def lookup(self, sample_id: str, req_hash: str) -> str | None:
         return self._entries.get((sample_id, req_hash))
 
     def record(self, sample_id: str, req_hash: str, response: str) -> None:
-        row = {"id": sample_id, "request_hash": req_hash,
-               "response": response, "timestamp": time.time()}
+        row = {"id": sample_id, "request_hash": req_hash, "response": response}
         line = (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             self._entries[(sample_id, req_hash)] = response
@@ -286,23 +291,15 @@ class TranscriptCache:
                 fh.write(line)
 
 
-def _complete_or_none(sample_id: str, req: ChatRequest, ep: EndpointConfig) -> str | None:
-    """complete(), with a failed request logged as one warning and returned as None."""
-    try:
-        return complete(req, ep)
-    except (TransportError, EndpointError, ValueError) as exc:
-        logger.warning("%s: request failed: %s", sample_id, exc)
-        return None
-
-
 def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
                   cache: TranscriptCache | None = None) -> dict[str, str | None]:
     """Bounded-concurrency map over (id, request) pairs.
 
     Returns response text per id, in the order of items (None for ids whose
     request failed). Cached responses are replayed without touching the
-    network. If a request must be sent and the endpoint's key variable is
-    unset, raises ValueError before sending any.
+    network. A failed request is logged as one warning. If a request must be
+    sent and the endpoint's key variable is unset, raises ValueError before
+    sending any.
     """
     results: dict[str, str | None] = {}
     pending: list[tuple[str, ChatRequest, str]] = []
@@ -316,8 +313,12 @@ def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
 
     def run_one(item: tuple[str, ChatRequest, str]) -> str | None:
         sample_id, req, req_hash = item
-        response = _complete_or_none(sample_id, req, ep)
-        if response is not None and cache is not None:
+        try:
+            response = complete(req, ep)
+        except (TransportError, EndpointError, ValueError) as exc:
+            logger.warning("%s: request failed: %s", sample_id, exc)
+            return None
+        if cache is not None:
             cache.record(sample_id, req_hash, response)
         return response
 
@@ -329,8 +330,8 @@ def complete_many(items: Sequence[tuple[str, ChatRequest]], ep: EndpointConfig,
 
 def parse_replies(replies: Mapping[str, str | None],
                   parse: Callable[[str], NutrientPrediction]) -> dict[str, NutrientPrediction]:
-    """parse() each reply; the ids whose request failed (None, logged where it
-    failed) or whose reply does not parse (logged here) are left out."""
+    """parse() each reply; the ids whose request failed (None, logged by
+    complete_many) or whose reply does not parse (logged here) are left out."""
     preds: dict[str, NutrientPrediction] = {}
     for sample_id, reply in replies.items():
         if reply is not None:

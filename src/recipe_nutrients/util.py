@@ -11,15 +11,14 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
 
-def format_decimal(value: float, places: int = 2) -> str:
-    """Format a number with half-up rounding at ``places`` decimals.
+def format_decimal(value: float) -> str:
+    """Format a number with half-up rounding at two decimals.
 
     Rounding operates on the shortest decimal representation of the float
     (``repr``), so 1.005 renders as "1.01" rather than falling victim to its
     binary representation.
     """
-    quantum = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
@@ -34,20 +33,24 @@ def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
 def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]]:
     """Parse json-lines text, skipping blank lines.
 
-    Raises ValueError naming ``source`` and the offending line on malformed json.
+    Raises ValueError naming ``source`` and the offending line on malformed
+    json, or naming ``source`` alone where ``lines`` meet bytes that are not utf-8.
     """
     rows: list[dict[str, Any]] = []
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{source}: invalid json on line {lineno + 1}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValueError(f"{source}: line {lineno + 1} is not a json object")
-        rows.append(obj)
+    try:
+        for lineno, line in enumerate(lines):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{source}: invalid json on line {lineno + 1}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{source}: line {lineno + 1} is not a json object")
+            rows.append(obj)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: not utf-8 text: {exc}") from None
     return rows
 
 

@@ -161,6 +161,9 @@ class Scripted:
     status: int
     body: bytes
     content_type: str = "application/json"
+    # a Content-Length larger than the body cuts the reply short: the body is
+    # sent and the connection closed
+    content_length: int | None = None
 
 
 class ScriptedServer:
@@ -186,9 +189,14 @@ class ScriptedServer:
                     scripted = Scripted(200, completion_body("OK"))
                 self.send_response(scripted.status)
                 self.send_header("Content-Type", scripted.content_type)
-                self.send_header("Content-Length", str(len(scripted.body)))
+                length = scripted.content_length
+                if length is None:
+                    length = len(scripted.body)
+                self.send_header("Content-Length", str(length))
                 self.end_headers()
                 self.wfile.write(scripted.body)
+                if length > len(scripted.body):
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass

@@ -1,5 +1,6 @@
 import ast
 import json
+import logging
 import math
 import pkgutil
 import re
@@ -187,6 +188,23 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"{model_path}: model lacks scored nutrients protein, saturates, sugars" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_model_without_fingerprint_refused(self, trained_pipeline, tmp_path, capsys,
+                                               command):
+        # a null fingerprint pairs with no vocabulary, not even the model's own
+        model = ridge.load_model(trained_pipeline["model"])
+        model.vectorizer_fingerprint = None
+        model_path = tmp_path / "unpaired.bin"
+        ridge.save_model(model, model_path)
+        shutil.copyfile(f"{trained_pipeline['model']}.vocab.json", f"{model_path}.vocab.json")
+        out = tmp_path / "p.jsonl"
+        argv = [command, "--model", str(model_path), "--in", str(trained_pipeline["val"])]
+        assert run(*argv, *(["--out", str(out)] if command == "predict" else [])) == 1
+        captured = capsys.readouterr()
+        assert f"error: {model_path}: vectorizer fingerprint mismatch: model expects None" \
+            in captured.err
+        assert not out.exists() and "mean=" not in captured.out
 
     def test_alpha_grid_selects_and_trains(self, trained_pipeline, tmp_path, capsys):
         model_path = tmp_path / "grid.bin"
@@ -387,6 +405,80 @@ class TestLlmCommands:
                    "--cache", str(cache_path)) == 0
         capsys.readouterr()
         assert len(endpoint_stub.requests) == traffic_after_first
+
+    def test_cache_transcripts_byte_identical_across_runs(self, trained_pipeline, endpoint_stub,
+                                                          tmp_path, capsys):
+        endpoint_stub.reply_with(
+            "Nutrient values per 100 g: fat - 4.00, protein - 3.00, saturates - 2.00, sugars - 1.00")
+        config = stub_config(tmp_path, endpoint_stub)
+        subset, _, _ = refine_inputs(trained_pipeline, tmp_path, 3)
+        transcripts = []
+        for name in ("first", "second"):
+            cache = tmp_path / f"{name}.transcript.jsonl"
+            assert run("--config", config, "llm-predict", "--endpoint", "local", "--in",
+                       str(subset), "--out", str(tmp_path / f"{name}.jsonl"),
+                       "--cache", str(cache)) == 0
+            transcripts.append(cache.read_bytes())
+        capsys.readouterr()
+        assert len(endpoint_stub.requests) == 6
+        assert transcripts[0] == transcripts[1]
+        rows = [json.loads(line) for line in transcripts[0].decode("utf-8").splitlines()]
+        assert [list(row) for row in rows] == [["id", "request_hash", "response"]] * 3
+
+    def test_reply_cut_short_is_one_warning_and_missing_prediction(
+            self, trained_pipeline, endpoint_stub, tmp_path, capsys, caplog):
+        config = stub_config(tmp_path, endpoint_stub, max_retries=1)
+        subset, _, _ = refine_inputs(trained_pipeline, tmp_path, 2)
+        first, second = (s.id for s in load_samples(subset))
+        endpoint_stub.reply_with(
+            "Nutrient values per 100 g: fat - 4.00, protein - 3.00, saturates - 2.00, sugars - 1.00")
+        # the first sample's two attempts each end 94 bytes short of their body
+        cut = Scripted(200, b'{"cho', content_length=100)
+        endpoint_stub.script(cut, cut)
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level(logging.WARNING, logger="recipe_nutrients.llm"):
+            assert run("--config", config, "llm-predict", "--endpoint", "local",
+                       "--in", str(subset), "--out", str(out)) == 0
+        assert f"(1 failed: {first})" in capsys.readouterr().out
+        assert list(load_predictions(out)) == [second]
+        assert len(endpoint_stub.requests) == 3
+        [record] = caplog.records
+        assert record.getMessage().startswith(f"{first}: request failed: ")
+        assert "ChunkedEncodingError" in record.getMessage()
+
+    @pytest.mark.parametrize("case", ["transcript_missing_key", "transcript_null_response",
+                                      "transcript_not_utf8", "shots_missing_nutrient",
+                                      "config_not_json", "samples_not_utf8"])
+    def test_bad_input_names_file(self, trained_pipeline, endpoint_stub, tmp_path, capsys,
+                                  case):
+        config = stub_config(tmp_path, endpoint_stub)
+        subset, _, _ = refine_inputs(trained_pipeline, tmp_path, 2)
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        argv = ["--config", config, "llm-predict", "--endpoint", "local", "--in", str(subset)]
+        if case == "transcript_missing_key":
+            bad.write_text(json.dumps({"id": "x", "request_hash": "sha256:0"}) + "\n")
+            argv += ["--cache", str(bad)]
+        elif case == "transcript_null_response":
+            bad.write_text(json.dumps({"id": "x", "request_hash": "sha256:0",
+                                       "response": None}) + "\n")
+            argv += ["--cache", str(bad)]
+        elif case == "transcript_not_utf8":
+            bad.write_bytes(b'{"id": "\xff"}\n')
+            argv += ["--cache", str(bad)]
+        elif case == "shots_missing_nutrient":
+            bad.write_text(json.dumps({"ingredient_text": "1 cup oats", "protein": 1.0,
+                                       "saturates": 0.1, "sugars": 1.0}) + "\n")
+            argv += ["--shots", str(bad)]
+        elif case == "config_not_json":
+            bad.write_text("{endpoints: 1}")
+            argv[1] = str(bad)
+        else:
+            bad.write_bytes(b'{"id": "\xff"}\n')
+            argv = ["predict", "--model", str(trained_pipeline["model"]), "--in", str(bad)]
+        assert run(*argv, "--out", str(out)) == 1
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert endpoint_stub.requests == []
 
     def test_llm_predict_skips_unparseable(self, trained_pipeline, endpoint_stub, tmp_path, capsys):
         endpoint_stub.reply_with("I refuse.")

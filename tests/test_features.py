@@ -16,7 +16,6 @@ from recipe_nutrients.features import (
     VectorizerConfig,
     char_config,
     fit,
-    fit_combined,
     tokenize_words,
     transform_batch,
     transform_combined,
@@ -38,6 +37,12 @@ def ccfg(n_min=3, n_max=5, **kw):
                 max_df=1.0, max_features=10_000, sublinear_tf=False)
     base.update(kw)
     return VectorizerConfig(**base)
+
+
+def tiny_cv(corpus):
+    """The paper's two vocabularies on a tiny corpus, keeping terms seen once."""
+    return CombinedVectorizer(word=fit(corpus, word_config(min_df=1)),
+                              char=fit(corpus, char_config(min_df=1)))
 
 
 class TestTokenizeWords:
@@ -191,39 +196,33 @@ class TestTransform:
 
 class TestCombined:
     def test_dims_add(self):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         assert cv.dim == len(cv.word) + len(cv.char)
 
     def test_empty_doc_zero(self):
-        cv = fit_combined(["olive oil", "corn oil"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil"])
         assert transform_combined("", cv).nnz == 0
 
     def test_squared_norm_in_0_1_2(self):
-        cv = fit_combined(["olive oil", "corn oil", "butter, raw"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "butter, raw"])
         for doc in ["olive oil", "zzqq", "butter", "olive zzqq"]:
             sq = np.linalg.norm(transform_combined(doc, cv).data) ** 2
             assert min(abs(sq - k) for k in (0.0, 1.0, 2.0)) < 1e-9
 
     def test_char_block_offset(self):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         vec = transform_combined("oil", cv)
         word_part = vec.indices < len(cv.word)
         assert word_part.any() and (~word_part).any()
 
     def test_paper_caps_bound_dim(self):
-        cv = fit_combined(["olive oil and corn", "corn oil, raw", "butter and salt"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil and corn", "corn oil, raw", "butter and salt"])
         assert cv.dim <= 8000 + 12000
 
 
 # "qx" and "zz" share no word or char gram with the fitted corpus, so a document
 # made only of them is an empty row
-PROPERTY_CV = fit_combined(["olive oil", "corn oil, raw", "butter and corn"],
-                           word_config(min_df=1), char_config(min_df=1))
+PROPERTY_CV = tiny_cv(["olive oil", "corn oil, raw", "butter and corn"])
 PROPERTY_WORDS = ["olive", "oil", "Oil,", "corn", "raw", "butter", "and", "of", "qx", "zz"]
 
 
@@ -283,9 +282,8 @@ def test_batch_matches_stacked_rows_and_dense_reference(docs):
 # plus separators str.split treats as whitespace (tab, no-break space)
 UNICODE_WORDS = ["İstanbul", "İ", "ΟΔΟΣ", "ΣΑΛΣΑ,", "Σ", "σοσ", "naïve", "ǅem", "ﬁg",
                  "olive", "oil", "Oil,", "corn", "qx"]
-UNICODE_CV = fit_combined(["İstanbul ΟΔΟΣ olive oil", "σαλσα naïve corn", "ǅem ﬁg oil ΣΑΛΣΑ",
-                           "İ corn\tΣ olive\u00a0oil"],
-                          word_config(min_df=1), char_config(min_df=1))
+UNICODE_CV = tiny_cv(["İstanbul ΟΔΟΣ olive oil", "σαλσα naïve corn", "ǅem ﬁg oil ΣΑΛΣΑ",
+                      "İ corn\tΣ olive\u00a0oil"])
 unicode_docs = st.lists(
     st.lists(st.tuples(st.sampled_from(UNICODE_WORDS), st.sampled_from([" ", "\t", "\u00a0", "  "])),
              max_size=10).map(lambda pairs: "".join(w + sep for w, sep in pairs)),
@@ -389,8 +387,7 @@ class TestWordTable:
         assert list(ids) == [cv.char.term_to_index[g] for g in grams]
 
     def test_table_is_not_state(self, tmp_path):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         fingerprint = cv.fingerprint()
         cv.save(tmp_path / "vocab.json")
         loaded = CombinedVectorizer.load(tmp_path / "vocab.json")
@@ -409,8 +406,7 @@ class TestWordTable:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         path = tmp_path / "vocab.json"
         cv.save(path)
         loaded = CombinedVectorizer.load(path)
@@ -419,8 +415,7 @@ class TestSerialization:
         assert loaded.fingerprint() == cv.fingerprint()
 
     def test_equality_compares_idf_by_value(self, tmp_path):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         path = tmp_path / "vocab.json"
         cv.save(path)
         assert cv == CombinedVectorizer.load(path)
@@ -429,8 +424,7 @@ class TestSerialization:
         assert cv.word != cv.char
 
     def test_transforms_agree_after_reload(self, tmp_path):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         path = tmp_path / "vocab.json"
         cv.save(path)
         loaded = CombinedVectorizer.load(path)
@@ -446,8 +440,7 @@ class TestSerialization:
             CombinedVectorizer.load(path)
 
     def test_tampered_indices_rejected(self, tmp_path):
-        cv = fit_combined(["olive oil", "corn oil"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil"])
         path = tmp_path / "vocab.json"
         cv.save(path)
         raw = json.loads(path.read_text())
@@ -458,8 +451,7 @@ class TestSerialization:
             CombinedVectorizer.load(path)
 
     def test_fingerprint_hashes_file_bytes(self, tmp_path):
-        cv = fit_combined(["olive oil", "corn oil", "raw corn"],
-                          word_config(min_df=1), char_config(min_df=1))
+        cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
         path = tmp_path / "vocab.json"
         cv.save(path)
         digest = f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}"
@@ -467,8 +459,8 @@ class TestSerialization:
         assert CombinedVectorizer.load(path).fingerprint() == digest
 
     def test_fingerprint_tracks_content(self):
-        a = fit_combined(["olive oil", "corn oil"], word_config(min_df=1), char_config(min_df=1))
-        b = fit_combined(["olive oil", "corn meal"], word_config(min_df=1), char_config(min_df=1))
+        a = tiny_cv(["olive oil", "corn oil"])
+        b = tiny_cv(["olive oil", "corn meal"])
         assert a.fingerprint() != b.fingerprint()
 
 

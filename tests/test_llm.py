@@ -206,6 +206,25 @@ class TestComplete:
         with pytest.raises(EndpointError, match="malformed"):
             complete(req, endpoint(endpoint_stub))
 
+    def test_body_cut_short_retries(self, endpoint_stub):
+        # the body ends 94 bytes before its Content-Length, then the connection closes
+        endpoint_stub.script(Scripted(200, b'{"cho', content_length=100),
+                             Scripted(200, completion_body("recovered")))
+        req = ChatRequest(system="s", messages=({"role": "user", "content": "u"},))
+        assert complete(req, endpoint(endpoint_stub, max_retries=1)) == "recovered"
+        assert len(endpoint_stub.requests) == 2
+
+    def test_body_cut_short_is_one_warning_and_no_reply(self, endpoint_stub, caplog):
+        endpoint_stub.default = Scripted(200, b'{"cho', content_length=100)
+        req = ChatRequest(system="s", messages=({"role": "user", "content": "u"},))
+        with pytest.raises(TransportError, match="ChunkedEncodingError"):
+            complete(req, endpoint(endpoint_stub, max_retries=1))
+        with caplog.at_level(logging.WARNING, logger="recipe_nutrients.llm"):
+            replies = complete_many([("s1", req)], endpoint(endpoint_stub, max_retries=1))
+        assert replies == {"s1": None}
+        assert len(endpoint_stub.requests) == 4
+        assert [r.getMessage().split(":")[:2] for r in caplog.records] == [["s1", " request failed"]]
+
     def test_api_key_header(self, endpoint_stub, monkeypatch):
         monkeypatch.setenv("STUB_KEY", "sekret")
         endpoint_stub.reply_with("OK")
@@ -451,6 +470,16 @@ class TestTranscriptCache:
         cache.record("s2", "h2", "two")
         reloaded = TranscriptCache(path)
         assert reloaded.lookup("s1", "h1") == "one" and reloaded.lookup("s2", "h2") == "two"
+
+    def test_record_holds_id_hash_and_response_and_older_timestamps_load(self, tmp_path):
+        path = tmp_path / "transcripts.jsonl"
+        older = {"id": "s1", "request_hash": "h1", "response": "one", "timestamp": 1.5e9}
+        path.write_text(json.dumps(older) + "\n", encoding="utf-8")
+        cache = TranscriptCache(path)
+        assert cache.lookup("s1", "h1") == "one"
+        cache.record("s2", "h2", "two")
+        assert json.loads(path.read_text(encoding="utf-8").splitlines()[1]) == {
+            "id": "s2", "request_hash": "h2", "response": "two"}
 
     def test_corrupt_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "transcripts.jsonl"
