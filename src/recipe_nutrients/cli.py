@@ -275,7 +275,10 @@ def cmd_merge(args, config: dict) -> int:
     base = ev.load_predictions(args.base)
     override = ev.load_predictions(args.override)
     with open(args.ids, "r", encoding="utf-8") as fh:
-        ids = {line.strip() for line in fh if line.strip()}
+        try:
+            ids = {line.strip() for line in fh if line.strip()}
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.ids}: not utf-8 text: {exc}") from None
     merged = llm.merge_predictions(base, override, ids)
     ev.save_predictions(args.out, merged)
     print(f"wrote {len(merged)} predictions to {args.out} ({len(ids)} overridden)")

@@ -6,13 +6,17 @@ terms to dense column indices with smooth idf weights; a document transforms
 to an L2-normalized row per vocabulary, and the two rows sit side by side in
 one row of the feature matrix.
 
-char_wb grams never cross whitespace, so a document's char grams are the
-concatenation of its words' grams: ``fit`` analyses each distinct word of the
-corpus once, and a ``CombinedVectorizer`` keeps a bounded table of word ->
-in-vocabulary char columns, so a word is analysed once for all the documents
-it turns up in. Documents become rows in blocks of at most ``_BLOCK_CHARS``
-characters: each block's (row, column) occurrences are counted, weighted and
-normalized in numpy, and the blocks' rows are stacked into one CSR matrix.
+Neither a word token nor a char_wb gram crosses whitespace, so a document's
+tokens and char grams are the concatenation of its words': the char-mode
+``fit`` analyses each distinct word of the corpus once, and a
+``CombinedVectorizer`` keeps one bounded table from each whitespace-separated
+word to its in-vocabulary columns (word unigrams and char grams) and the ids of
+its tokens in the word vocabulary's bigrams, so a word is analysed once, for
+both vocabularies, for all the documents it turns up in. Documents become rows
+in blocks of at most ``_BLOCK_CHARS`` characters: each block's words are
+looked up in the table, their columns gathered in numpy, its bigrams matched
+from adjacent token ids, and its (row, column) occurrences counted, weighted
+and normalized in numpy; the blocks' rows are stacked into one CSR matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
-from itertools import chain, repeat
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -44,7 +48,7 @@ _TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
 _BLOCK_CHARS = 16_384
 
 # bound on a CombinedVectorizer's word table: each entry is charged its column
-# ids, its word's length and _ENTRY_CHARGE for the entry itself
+# and token ids, its word's length and _ENTRY_CHARGE for the entry itself
 _TABLE_CAP = 1 << 20
 _ENTRY_CHARGE = 16
 
@@ -92,13 +96,19 @@ def char_config(**overrides) -> VectorizerConfig:
     return VectorizerConfig(**base)
 
 
-def tokenize_words(text: str, config: VectorizerConfig) -> list[str]:
-    """Word n-grams: tokenize, drop stopwords, emit space-joined n-grams."""
+def _tokens(text: str, config: VectorizerConfig) -> list[str]:
+    """The word tokens of ``text``, stopwords dropped."""
     if config.lowercase:
         text = text.lower()
     tokens = _TOKEN.findall(text)
     if config.remove_stopwords:
         tokens = [t for t in tokens if t not in ENGLISH_STOPWORDS]
+    return tokens
+
+
+def tokenize_words(text: str, config: VectorizerConfig) -> list[str]:
+    """Word n-grams: tokenize, drop stopwords, emit space-joined n-grams."""
+    tokens = _tokens(text, config)
     grams: list[str] = []
     for n in range(config.ngram_min, config.ngram_max + 1):
         if n == 1:
@@ -246,36 +256,111 @@ def _tfidf_rows(keys: np.ndarray, n_rows: int, vocabs: Sequence[Vocabulary]) -> 
     return CsrMatrix(data=weights, indices=columns, indptr=indptr, shape=(n_rows, int(ends[-1])))
 
 
+def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
+    """``buffer``, or a copy twice its size or more when it holds fewer than ``size``."""
+    if len(buffer) >= size:
+        return buffer
+    grown = np.empty(max(size, 2 * len(buffer)), dtype=buffer.dtype)
+    grown[:len(buffer)] = buffer
+    return grown
+
+
+class _WordTable:
+    """Whitespace-separated words -> entries in flat int64 buffers.
+
+    Entry ``e`` holds ``columns[column_ptr[e]:column_ptr[e + 1]]`` and
+    ``tokens[token_ptr[e]:token_ptr[e + 1]]``, laid out as in a CSR matrix;
+    the buffers double in size when full. ``charge`` is the sum over entries
+    of ``_ENTRY_CHARGE``, the word's length and its ids.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[str, int] = {}
+        self.charge = 0
+        self.columns = np.empty(1024, dtype=np.int64)
+        self.tokens = np.empty(256, dtype=np.int64)
+        self.column_ptr = np.zeros(129, dtype=np.int64)
+        self.token_ptr = np.zeros(129, dtype=np.int64)
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.charge = 0
+
+    def add(self, words: list[str], columns: list[int], n_columns: list[int],
+            tokens: list[int], n_tokens: list[int]) -> None:
+        """Append one entry per word, given the words' ids end to end and
+        each word's count of them: one write per buffer."""
+        first = len(self.entries)
+        stop = first + len(words) + 1
+        column_ends = list(accumulate(n_columns, initial=int(self.column_ptr[first])))
+        token_ends = list(accumulate(n_tokens, initial=int(self.token_ptr[first])))
+        self.column_ptr = _grown(self.column_ptr, stop)
+        self.column_ptr[first:stop] = column_ends
+        self.token_ptr = _grown(self.token_ptr, stop)
+        self.token_ptr[first:stop] = token_ends
+        self.columns = _grown(self.columns, column_ends[-1])
+        self.columns[column_ends[0]:column_ends[-1]] = columns
+        self.tokens = _grown(self.tokens, token_ends[-1])
+        self.tokens[token_ends[0]:token_ends[-1]] = tokens
+        self.entries.update(zip(words, range(first, stop - 1)))
+        self.charge += _charge(words, columns, tokens)
+
+
+def _charge(words: list[str], columns: list[int], tokens: list[int]) -> int:
+    """The table charge of entries for ``words`` holding these ids."""
+    return _ENTRY_CHARGE * len(words) + sum(map(len, words)) + len(columns) + len(tokens)
+
+
+def _runs(values: np.ndarray, ptr: np.ndarray, entries: np.ndarray,
+          base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``values[ptr[e]:ptr[e + 1]]`` of ``entries`` end to end, and
+    each entry's ``base`` repeated along its run."""
+    starts = ptr[entries]
+    lengths = ptr[entries + 1] - starts
+    offsets = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    offsets += np.arange(len(offsets))
+    return values[offsets], base.repeat(lengths)
+
+
 @dataclass
 class CombinedVectorizer:
     """A word vocabulary and a char_wb vocabulary, side by side.
 
-    Rows are built through a table that maps each lower-cased word to its
-    in-vocabulary char columns, in gram order. The ids are vocabulary-local
-    and are the int objects of ``char.term_to_index``, so a stored id costs
-    one 8-byte reference. Each entry is charged its ids, its word's length
-    and ``_ENTRY_CHARGE`` for itself. When an entry would take the total
-    charge past ``_TABLE_CAP``, the table is emptied first, and a word
-    charged more than the cap on its own is never stored: a flood of long
-    unseen words cannot grow the table. Its key strings, id tuples and dict
-    slots take at most ~6 bytes per unit of charge (measured with
-    one-character words, the costliest per unit), so at worst ~6 MiB. A
-    new or loaded vectorizer starts with an empty table; the table takes no
-    part in equality or the fingerprint. Building rows updates the table, so
-    a vectorizer serves one thread at a time.
+    Rows are built through one table keyed by the whitespace-separated word.
+    Neither a word token nor a char_wb gram crosses whitespace, so a
+    document's tokens and grams are its words' tokens and grams in order, and
+    a word is analysed once for every document it turns up in. An entry holds
+    the word's in-vocabulary columns (its word unigrams', then its char
+    grams' shifted by ``len(self.word)``) and the ids of its tokens in the
+    word vocabulary's bigrams. A row's bigrams are its adjacent token ids,
+    across words with no token (``1/2``), looked up in the vocabulary's
+    sorted bigram keys; so a word config may ask for word n-grams of at most
+    2 words.
+
+    Each entry is charged its ids, its word's length and ``_ENTRY_CHARGE``
+    for itself. When a block's new entries would take the total charge past
+    ``_TABLE_CAP``, the table is emptied first; a block charged more than the
+    cap on its own, as is any block holding a word charged more than the cap,
+    is built through a table of its own that is dropped after it. So a flood
+    of long unseen words cannot grow the table. Its key strings, dict slots,
+    entry numbers and buffers take at most ~10 bytes per unit of charge
+    (measured with one-character words, the costliest per unit), so at worst
+    ~10 MiB. A new or loaded vectorizer starts with an empty table; the table
+    takes no part in equality or the fingerprint. Building rows updates the
+    table, so a vectorizer serves one thread at a time.
     """
     word: Vocabulary
     char: Vocabulary
     # the file bytes that save writes or load read, kept once known
     _file_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
-    # lower-cased word -> its in-vocabulary char columns, and the table's charge
-    _char_table: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _char_table_charge: int = field(default=0, init=False, repr=False, compare=False)
+    _table: _WordTable = field(default_factory=_WordTable, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.word.config.mode, self.char.config.mode) != ("word", "char_wb"):
             raise ValueError("a combined vectorizer pairs a word and a char_wb vocabulary")
+        if self.word.config.ngram_max > 2:
+            raise ValueError("a combined vectorizer builds word n-grams of at most 2 words, "
+                             f"not {self.word.config.ngram_max}")
 
     @property
     def dim(self) -> int:
@@ -312,40 +397,93 @@ class CombinedVectorizer:
         """sha256 of the vectorizer file's bytes."""
         return f"sha256:{hashlib.sha256(self._contents()).hexdigest()}"
 
-    def _char_columns(self, word: str) -> tuple[int, ...]:
-        """The char columns of ``word``'s in-vocabulary grams, through the table."""
-        ids = self._char_table.get(word)
-        if ids is None:
-            get = self.char.term_to_index.get
-            ids = tuple(i for i in map(get, word_grams(word, self.char.config)) if i is not None)
-            charge = _ENTRY_CHARGE + len(word) + len(ids)
-            if charge <= _TABLE_CAP:
-                if self._char_table_charge + charge > _TABLE_CAP:
-                    self._char_table.clear()
-                    self._char_table_charge = 0
-                self._char_table[word] = ids
-                self._char_table_charge += charge
-        return ids
+    @cached_property
+    def _bigrams(self) -> tuple[dict[str, int], np.ndarray, np.ndarray] | None:
+        """The word vocabulary's bigrams, or None when it has none: each of
+        their tokens' id, and their keys ``t1 * (n + 1) + t2`` sorted, with
+        their columns. A token in no bigram has id ``n``, so no pair holding
+        it has a bigram's key."""
+        config = self.word.config
+        if not config.ngram_min <= 2 <= config.ngram_max:
+            return None
+        index = self.word.term_to_index
+        bigrams = [term for term in index if term.count(" ") == 1]
+        if not bigrams:
+            return None
+        # each bigram holds one space, so the joined bigrams split into their
+        # two tokens each, in turn
+        tokens = " ".join(bigrams).split(" ")
+        ids = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
+        token_ids = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        keys = token_ids[0::2] * (len(ids) + 1) + token_ids[1::2]
+        columns = np.fromiter(map(index.__getitem__, bigrams), dtype=np.int64, count=len(bigrams))
+        order = keys.argsort()
+        return ids, keys[order], columns[order]
+
+    def _analyse(self, words: list[str]) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The table entries of ``words``: their column ids end to end and each
+        word's count of them, then the same for their token ids."""
+        word_get, char_get = self.word.term_to_index.get, self.char.term_to_index.get
+        word_cfg, char_cfg = self.word.config, self.char.config
+        offset, unigrams, bigrams = len(self.word), word_cfg.ngram_min == 1, self._bigrams
+        columns: list[int] = []
+        tokens: list[int] = []
+        n_columns, n_tokens = [], []
+        for word in words:
+            start, token_start = len(columns), len(tokens)
+            # lower-casing a word on its own is lower-casing it in its text:
+            # the result splits at the same whitespace
+            word_tokens = _tokens(word, word_cfg)
+            if unigrams:
+                columns.extend(i for i in map(word_get, word_tokens) if i is not None)
+            grams = word_grams(word.lower() if char_cfg.lowercase else word, char_cfg)
+            columns.extend(i + offset for i in map(char_get, grams) if i is not None)
+            if bigrams is not None:
+                token_ids = bigrams[0]
+                tokens.extend(map(token_ids.get, word_tokens, repeat(len(token_ids))))
+            n_columns.append(len(columns) - start)
+            n_tokens.append(len(tokens) - token_start)
+        return columns, n_columns, tokens, n_tokens
+
+    def _entries(self, words: list[str]) -> tuple[_WordTable, np.ndarray]:
+        """A table holding every one of ``words``, and each word's entry in it."""
+        table = self._table
+        found = list(map(table.entries.get, words))
+        if None in found:
+            misses = list(dict.fromkeys(w for w, e in zip(words, found) if e is None))
+            analysed = self._analyse(misses)
+            if table.charge + _charge(misses, analysed[0], analysed[2]) > _TABLE_CAP:
+                # the block's words go into an emptied table, or into one of
+                # their own that is dropped after the block if they alone
+                # would pass the cap
+                misses = list(dict.fromkeys(words))
+                analysed = self._analyse(misses)
+                if _charge(misses, analysed[0], analysed[2]) > _TABLE_CAP:
+                    table = _WordTable()
+                else:
+                    table.clear()
+            table.add(misses, *analysed)
+            found = list(map(table.entries.get, words))
+        return table, np.array(found, dtype=np.int64)
 
     def _block_rows(self, docs: list[str]) -> CsrMatrix:
         """The rows of one block of documents (see :func:`transform_batch`)."""
-        n_docs, width, offset = len(docs), self.dim, len(self.word)
-        terms = [tokenize_words(doc, self.word.config) for doc in docs]
-        n_terms = np.fromiter(map(len, terms), dtype=np.int64, count=n_docs)
-        word_cols = np.fromiter(map(self.word.term_to_index.get, chain.from_iterable(terms),
-                                    repeat(-1)), dtype=np.int64, count=int(n_terms.sum()))
-        word_keys = np.repeat(np.arange(n_docs) * width, n_terms) + word_cols
-        word_keys = word_keys[word_cols >= 0]
-
-        words = [_char_words(doc, self.char.config) for doc in docs]
-        n_words = np.fromiter(map(len, words), dtype=np.int64, count=n_docs)
-        columns = list(map(self._char_columns, chain.from_iterable(words)))
-        n_columns = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
-        char_cols = np.fromiter(chain.from_iterable(columns), dtype=np.int64,
-                                count=int(n_columns.sum()))
-        char_keys = np.repeat(np.repeat(np.arange(n_docs) * width + offset, n_words), n_columns)
-        char_keys += char_cols
-        return _tfidf_rows(np.concatenate((word_keys, char_keys)), n_docs, (self.word, self.char))
+        words = list(map(str.split, docs))
+        n_words = np.fromiter(map(len, words), dtype=np.int64, count=len(docs))
+        table, entries = self._entries(list(chain.from_iterable(words)))
+        # each word's row as the key of the row's column 0
+        bases = (np.arange(len(docs), dtype=np.int64) * self.dim).repeat(n_words)
+        columns, keys = _runs(table.columns, table.column_ptr, entries, bases)
+        keys += columns
+        if self._bigrams is not None:
+            token_ids, bigram_keys, bigram_columns = self._bigrams
+            tokens, token_bases = _runs(table.tokens, table.token_ptr, entries, bases)
+            same_row = token_bases[1:] == token_bases[:-1]
+            pairs = tokens[:-1][same_row] * (len(token_ids) + 1) + tokens[1:][same_row]
+            at = np.minimum(bigram_keys.searchsorted(pairs), len(bigram_keys) - 1)
+            hit = bigram_keys[at] == pairs
+            keys = np.concatenate((keys, token_bases[:-1][same_row][hit] + bigram_columns[at[hit]]))
+        return _tfidf_rows(keys, len(docs), (self.word, self.char))
 
 
 def fit_combined(corpus: list[str]) -> CombinedVectorizer:

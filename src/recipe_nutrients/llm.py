@@ -195,8 +195,9 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
 
     Each thread sends over its own keep-alive session. Transient failures
     (connection errors, timeouts, a body cut short, HTTP 429/5xx) retry with
-    exponential backoff up to max_retries; other non-2xx statuses fail
-    immediately.
+    exponential backoff up to max_retries; other non-2xx statuses and any
+    other failure of the request (a body that does not decode) fail
+    immediately with EndpointError.
     """
     import requests
 
@@ -218,6 +219,8 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
             last_failure = f"{type(exc).__name__}: {exc}"
             logger.debug("attempt %d failed: %s", attempt + 1, last_failure)
             continue
+        except requests.RequestException as exc:
+            raise EndpointError(f"request failed: {type(exc).__name__}: {exc}") from exc
         if response.status_code == 429 or response.status_code >= 500:
             last_failure = f"HTTP {response.status_code}"
             logger.debug("attempt %d failed: %s", attempt + 1, last_failure)

@@ -291,7 +291,7 @@ def load_model(path: str | Path) -> RidgeModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not utf-8, or not json
         raise ValueError(f"{path}: corrupted model file: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != MODEL_FORMAT_VERSION:

@@ -9,9 +9,14 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import settings
 
 from recipe_nutrients import cli
 from recipe_nutrients.util import format_decimal
+
+# a longer search for the property tests, chosen with --hypothesis-profile=ci;
+# with no deadline, a slow runner does not fail an example for its time alone
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # name -> per-100 g densities (energy, fat, protein, salt, saturates, sugars)
 PANTRY = {
@@ -164,6 +169,7 @@ class Scripted:
     # a Content-Length larger than the body cuts the reply short: the body is
     # sent and the connection closed
     content_length: int | None = None
+    content_encoding: str | None = None
 
 
 class ScriptedServer:
@@ -189,6 +195,8 @@ class ScriptedServer:
                     scripted = Scripted(200, completion_body("OK"))
                 self.send_response(scripted.status)
                 self.send_header("Content-Type", scripted.content_type)
+                if scripted.content_encoding is not None:
+                    self.send_header("Content-Encoding", scripted.content_encoding)
                 length = scripted.content_length
                 if length is None:
                     length = len(scripted.body)

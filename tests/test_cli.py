@@ -644,6 +644,18 @@ class TestMergeCommand:
         assert merged["6"].fat == 1.0 and merged["1"].fat == 1.0
 
 
+    def test_ids_not_utf8_names_file(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"id": "0", "fat": 1.0, "protein": 1.0, "saturates": 1.0,
+                             "sugars": 1.0}])
+        ids_path, out_path = tmp_path / "ids.txt", tmp_path / "merged.jsonl"
+        ids_path.write_bytes(b"0\n\xff\n")
+        assert run("merge", "--base", str(preds), "--override", str(preds),
+                   "--ids", str(ids_path), "--out", str(out_path)) == 1
+        assert f"error: {ids_path}: not utf-8 text: " in capsys.readouterr().err
+        assert not out_path.exists()
+
+
 class TestConfigFile:
     def test_flags_supply_stage_settings(self, raw_corpus, tmp_path, capsys):
         # an endpoints-only config leaves prepare at its flag defaults

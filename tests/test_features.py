@@ -339,7 +339,8 @@ def test_rows_same_with_cold_and_warm_table(docs):
     assert_same_rows(transform_batch(docs, warm), [transform_combined(d, cold) for d in docs])
 
 
-@settings(max_examples=50)
+# half the profile's examples: 50 by default, 500 under the ci profile
+@settings(max_examples=settings.default.max_examples // 2)
 @given(st.lists(unicode_docs.map(" ".join), min_size=1, max_size=6),
        st.sampled_from([ccfg(min_df=1), ccfg(min_df=2, max_df=0.7), ccfg(2, 4, max_features=7),
                         ccfg(1, 3, lowercase=False), wcfg(ngram_max=2, max_features=5)]))
@@ -354,37 +355,126 @@ def test_fit_matches_counting_analyze_output(corpus, config):
     assert vocab.idf.tobytes() == idf.tobytes()
 
 
+# bigrams that span a stopword ("cream of tartar"), a word with no token
+# ("1/2", "-") and the words of a hyphenated or bracketed word
+BIGRAM_CORPUS = ["cream of tartar", "1/2 cup low-fat milk", "soy sauce (tamari)",
+                 "olive oil - corn", "Oil, 1/2 raw", "the milk and the OIL"]
+BIGRAM_WORD_VOCABS = [fit(BIGRAM_CORPUS, config)
+                      for config in (word_config(min_df=1), word_config(min_df=1, ngram_min=2),
+                                     word_config(min_df=1, remove_stopwords=False),
+                                     word_config(min_df=1, lowercase=False),
+                                     word_config(min_df=1, ngram_max=1))]
+# vocabularies holding terms that their config never emits: unigrams without
+# ngram_min 1, bigrams without ngram_max 2, trigrams
+BIGRAM_WORD_VOCABS += [replace(BIGRAM_WORD_VOCABS[0], config=word_config(min_df=1, ngram_min=2)),
+                       replace(BIGRAM_WORD_VOCABS[0], config=word_config(min_df=1, ngram_max=1)),
+                       replace(fit(BIGRAM_CORPUS, word_config(min_df=1, ngram_max=3)),
+                               config=word_config(min_df=1))]
+BIGRAM_CVS = [CombinedVectorizer(word=word, char=fit(BIGRAM_CORPUS, char_config(min_df=1)))
+              for word in BIGRAM_WORD_VOCABS]
+BIGRAM_CV = BIGRAM_CVS[0]
+BIGRAM_WORDS = ["1/2", "-", "of", "and", "the", "low-fat", "(tamari)", "Oil,", "oil", "OIL",
+                "olive", "Olive", "soy", "sauce", "cream", "tartar", "cup", "corn", "raw",
+                "milk", "qx"]
+bigram_docs = st.lists(
+    st.lists(st.tuples(st.sampled_from(BIGRAM_WORDS),
+                       st.sampled_from([" ", "\t", "\n", "\u00a0", "  ", " \t"])),
+             max_size=12).map(lambda pairs: "".join(w + sep for w, sep in pairs)),
+    max_size=8)
+
+
+def test_bigram_vocabulary_spans_stopwords_and_tokenless_words():
+    terms = BIGRAM_CV.word.term_to_index
+    assert {"cream tartar", "cup low", "low fat", "sauce tamari", "oil corn", "oil raw",
+            "milk oil"} <= set(terms)
+    assert "of tartar" in BIGRAM_CVS[2].word.term_to_index
+
+
+@given(bigram_docs, st.sampled_from(BIGRAM_CVS), st.integers(1, 60), st.booleans())
+@example(["cream of\ttartar 1/2 cup", "", "Oil, - corn\u00a0olive OIL"], BIGRAM_CV, 1, False)
+@example(["low-fat milk the OIL", "qx", "soy sauce (tamari)"], BIGRAM_CVS[2], 60, True)
+def test_table_rows_match_dense_reference_and_single_rows(docs, fitted, block_chars, warm):
+    cv = CombinedVectorizer(fitted.word, fitted.char)
+    if warm:
+        transform_batch(docs[::-1] + ["olive oil 1/2 cream"], cv)
+    rows = [transform_combined(doc, CombinedVectorizer(cv.word, cv.char)) for doc in docs]
+    with patch.object(features, "_BLOCK_CHARS", block_chars):
+        matrix = transform_batch(docs, cv)
+    assert_same_rows(matrix, rows)
+    dense = np.array([np.concatenate([dense_tfidf(d, cv.word), dense_tfidf(d, cv.char)])
+                      for d in docs]).reshape(len(docs), cv.dim)
+    np.testing.assert_allclose(matrix.toarray(), dense, rtol=0, atol=1e-12)
+
+
+@given(st.text())
+def test_lowercased_text_splits_into_its_lowercased_words(text):
+    # the word table is keyed by the word as written, and lower-cases each word
+    # on its own
+    assert text.lower().split() == [word.lower() for word in text.split()]
+
+
+def table_entry(table, word):
+    """The column ids and token ids of ``word``'s entry in a word table."""
+    e = table.entries[word]
+    return (table.columns[table.column_ptr[e]:table.column_ptr[e + 1]].tolist(),
+            table.tokens[table.token_ptr[e]:table.token_ptr[e + 1]].tolist())
+
+
+def recounted_charge(table):
+    """The table's charge, summed entry by entry from its buffers."""
+    return sum(features._ENTRY_CHARGE + len(word) + sum(map(len, table_entry(table, word)))
+               for word in table.entries)
+
+
+def assert_dense_row(doc, cv):
+    row = transform_combined(doc, cv)
+    expected = np.concatenate([dense_tfidf(doc, cv.word), dense_tfidf(doc, cv.char)])
+    np.testing.assert_allclose(row.toarray()[0], expected, rtol=0, atol=1e-12)
+
+
 class TestWordTable:
     def test_charge_stays_within_cap(self):
-        cv = CombinedVectorizer(PROPERTY_CV.word, PROPERTY_CV.char)
+        cv = CombinedVectorizer(BIGRAM_CV.word, BIGRAM_CV.char)
         cap = 400
         with patch.object(features, "_TABLE_CAP", cap):
+            sizes = []
             for i in range(60):
-                # long, mostly unseen words that still hit some char columns
-                doc = f"{'olive' * (i % 7 + 1)}{i:03d}qx butter{'z' * i} {'corn ' * (i % 3)}"
-                row = transform_combined(doc, cv)
-                expected = np.concatenate([dense_tfidf(doc, cv.word), dense_tfidf(doc, cv.char)])
-                np.testing.assert_allclose(row.toarray()[0], expected, rtol=0, atol=1e-12)
-                table = cv._char_table
-                assert cv._char_table_charge == sum(
-                    features._ENTRY_CHARGE + len(w) + len(ids) for w, ids in table.items())
-                assert cv._char_table_charge <= cap
-            assert table  # the table was in use, not bypassed
-            # a word charged more than the cap on its own is never stored
+                # long, mostly unseen words that still hit some columns and bigrams
+                doc = f"{'olive' * (i % 7 + 1)}{i:03d}qx oil 1/2 butter{'z' * i} {'corn ' * (i % 3)}"
+                assert_dense_row(doc, cv)
+                table = cv._table
+                assert table.charge == recounted_charge(table) <= cap
+                sizes.append(len(table.entries))
+            assert max(sizes) > 1 and min(sizes) < max(sizes)  # in use, and emptied
+            # a word charged more than the cap on its own is never stored, and
+            # its block leaves the table as it was
+            before = dict(table.entries)
             huge = "olive" * 100
-            row = transform_combined(huge, cv)
-            assert huge not in cv._char_table and cv._char_table_charge <= cap
-            np.testing.assert_allclose(row.toarray()[0], np.concatenate(
-                [dense_tfidf(huge, cv.word), dense_tfidf(huge, cv.char)]), rtol=0, atol=1e-12)
+            assert_dense_row(f"corn {huge} oil", cv)
+            assert table.entries == before and huge not in table.entries
+            assert table.charge == recounted_charge(table) <= cap
 
-    def test_ids_are_vocabulary_local_and_shared(self):
-        cv = CombinedVectorizer(PROPERTY_CV.word, PROPERTY_CV.char)
+    def test_block_past_cap_empties_table_first(self):
+        cv = CombinedVectorizer(BIGRAM_CV.word, BIGRAM_CV.char)
         transform_combined("olive oil", cv)
-        ids = cv._char_table["olive"]
-        by_index = {i: i for i in cv.char.term_to_index.values()}
-        assert ids and all(by_index[i] is i for i in ids)
-        grams = [g for g in word_grams("olive", cv.char.config) if g in cv.char.term_to_index]
-        assert list(ids) == [cv.char.term_to_index[g] for g in grams]
+        charge = cv._table.charge
+        with patch.object(features, "_TABLE_CAP", charge + 30):
+            assert_dense_row("corn oil, raw", cv)
+        assert set(cv._table.entries) == {"corn", "oil,", "raw"}
+        assert cv._table.charge == recounted_charge(cv._table)
+
+    def test_entry_holds_columns_and_token_ids(self):
+        cv = CombinedVectorizer(BIGRAM_CV.word, BIGRAM_CV.char)
+        transform_combined("1/2 Oil, olive", cv)
+        assert set(cv._table.entries) == {"1/2", "Oil,", "olive"}
+        columns, tokens = table_entry(cv._table, "Oil,")
+        grams = [g for g in word_grams("oil,", cv.char.config) if g in cv.char.term_to_index]
+        assert columns == [cv.word.term_to_index["oil"]] + [
+            len(cv.word) + cv.char.term_to_index[g] for g in grams]
+        ids, _, _ = cv._bigrams
+        assert tokens == [ids["oil"]]
+        # a word with no token holds no token id, so bigrams span it
+        assert table_entry(cv._table, "1/2")[1] == []
 
     def test_table_is_not_state(self, tmp_path):
         cv = tiny_cv(["olive oil", "corn oil", "raw corn"])
@@ -393,15 +483,21 @@ class TestWordTable:
         loaded = CombinedVectorizer.load(tmp_path / "vocab.json")
         cold = CombinedVectorizer(cv.word, cv.char)
         transform_batch(["olive oil", "corn, raw"], cv)
-        assert cv._char_table and not loaded._char_table and not cold._char_table
+        assert cv._table.entries and not loaded._table.entries and not cold._table.entries
         assert cv == cold
         assert cv.fingerprint() == loaded.fingerprint() == fingerprint
-        assert "_char_table" not in repr(cv)
+        assert "_table" not in repr(cv) and "_bigrams" not in repr(cv)
 
     def test_modes_must_pair_word_and_char(self):
         cv = PROPERTY_CV
         with pytest.raises(ValueError, match="char_wb"):
             CombinedVectorizer(word=cv.char, char=cv.word)
+
+    def test_word_ngrams_longer_than_two_refused(self):
+        corpus = ["olive oil, raw", "corn oil"]
+        word = fit(corpus, word_config(min_df=1, ngram_max=3))
+        with pytest.raises(ValueError, match="at most 2 words, not 3"):
+            CombinedVectorizer(word=word, char=PROPERTY_CV.char)
 
 
 class TestSerialization:

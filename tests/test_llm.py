@@ -225,6 +225,19 @@ class TestComplete:
         assert len(endpoint_stub.requests) == 4
         assert [r.getMessage().split(":")[:2] for r in caplog.records] == [["s1", " request failed"]]
 
+    def test_body_not_decodable_is_one_warning_and_no_reply(self, endpoint_stub, caplog):
+        # the reply claims gzip over a body that is not gzip: requests raises
+        # ContentDecodingError, which is not retried
+        endpoint_stub.default = Scripted(200, completion_body("OK"), content_encoding="gzip")
+        req = ChatRequest(system="s", messages=({"role": "user", "content": "u"},))
+        with pytest.raises(EndpointError, match="ContentDecodingError"):
+            complete(req, endpoint(endpoint_stub, max_retries=1))
+        with caplog.at_level(logging.WARNING, logger="recipe_nutrients.llm"):
+            replies = complete_many([("s1", req)], endpoint(endpoint_stub, max_retries=1))
+        assert replies == {"s1": None}
+        assert len(endpoint_stub.requests) == 2
+        assert [r.getMessage().split(":")[:2] for r in caplog.records] == [["s1", " request failed"]]
+
     def test_api_key_header(self, endpoint_stub, monkeypatch):
         monkeypatch.setenv("STUB_KEY", "sekret")
         endpoint_stub.reply_with("OK")

@@ -449,6 +449,12 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="corrupted"):
             load_model(path)
 
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b'{"format\xff": 2}')
+        with pytest.raises(ValueError, match=f"{path}: corrupted model file: 'utf-8' codec"):
+            load_model(path)
+
     def test_solver_stats_round_trip(self, tmp_path):
         model = self.make_trained()
         assert model.solver_stats["fat"].iterations > 0
