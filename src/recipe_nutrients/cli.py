@@ -83,6 +83,14 @@ def _labeled_samples(samples: list[dataset.RecipeSample], path) -> dict[str, dat
     return labels
 
 
+def _nonempty_samples(path) -> list[dataset.RecipeSample]:
+    """The samples of ``path``, which must hold at least one."""
+    samples = dataset.load_samples(path)
+    if not samples:
+        raise ValueError(f"{path}: no samples")
+    return samples
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_prepare(args, config: dict) -> int:
@@ -157,7 +165,7 @@ def cmd_train(args, config: dict) -> int:
     # checks the first alpha before any work starts
     cfg = ridge.RidgeConfig(alpha=alphas[0])
 
-    train_samples = dataset.load_samples(args.train)
+    train_samples = _nonempty_samples(args.train)
     train_labels = _labeled_samples(train_samples, args.train)
     texts = [s.ingredient_text for s in train_samples]
 
@@ -304,7 +312,7 @@ def cmd_bench(args, config: dict) -> int:
     from . import features, ridge
 
     model, cv = _load_model_and_vectorizer(args.model)
-    samples = dataset.load_samples(args.infile)
+    samples = _nonempty_samples(args.infile)
     texts = [s.ingredient_text for s in samples]
 
     def predict_one(text: str) -> dataset.NutrientPrediction:

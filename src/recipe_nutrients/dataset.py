@@ -273,16 +273,18 @@ def _shuffled_indices(n: int, seed: int) -> list[int]:
 def split(samples: Sequence[RecipeSample], ratio: float, seed: int) -> DatasetSplit:
     """Deterministically shuffle and partition samples into train/validation.
 
-    The first floor(ratio * n) shuffled samples form the train set.
+    The first floor(ratio * n) shuffled samples form the train set; neither
+    set may be empty.
     """
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     n = len(samples)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    order = _shuffled_indices(n, seed)
     # tiny epsilon corrects float representation error (e.g. 0.7 * 10 -> 6.999...)
     n_train = math.floor(ratio * n + 1e-9)
+    if not 0 < n_train < n:
+        raise ValueError(f"ratio {ratio} of {n} samples leaves an empty split "
+                         f"(train {n_train}, validation {n - n_train})")
+    order = _shuffled_indices(n, seed)
     train = [samples[i] for i in order[:n_train]]
     validation = [samples[i] for i in order[n_train:]]
     return DatasetSplit(train=train, validation=validation)
@@ -310,6 +312,8 @@ def load_samples(path: str | Path) -> list[RecipeSample]:
     for index, row in enumerate(load_jsonl(path)):
         try:
             text = row["ingredient_text"]
+            if not isinstance(text, str):
+                raise TypeError("ingredient_text must be a string")
             labels = NutrientVector.from_dict(row["labels"]) if row.get("labels") else None
             sample = RecipeSample(id=str(row["id"]), ingredient_text=text, labels=labels)
         except (KeyError, TypeError, ValueError) as exc:

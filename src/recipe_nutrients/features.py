@@ -11,12 +11,13 @@ tokens and char grams are the concatenation of its words': the char-mode
 ``fit`` analyses each distinct word of the corpus once, and a
 ``CombinedVectorizer`` keeps one bounded table from each whitespace-separated
 word to its in-vocabulary columns (word unigrams and char grams) and the ids of
-its tokens in the word vocabulary's bigrams, so a word is analysed once, for
-both vocabularies, for all the documents it turns up in. Documents become rows
-in blocks of at most ``_BLOCK_CHARS`` characters: each block's words are
-looked up in the table, their columns gathered in numpy, its bigrams matched
-from adjacent token ids, and its (row, column) occurrences counted, weighted
-and normalized in numpy; the blocks' rows are stacked into one CSR matrix.
+its tokens in the word vocabulary's bigrams, in int64 arrays, so a word is
+analysed once, for both vocabularies, for the documents it turns up in. Rows
+are built in blocks of at most ``_BLOCK_CHARS`` characters: a block's words
+are looked up in the table, their columns gathered in numpy, its bigrams
+matched from adjacent token ids, and its (row, column) occurrences counted,
+weighted and normalized in numpy; the blocks' rows are stacked into one CSR
+matrix.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import hashlib
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -47,8 +49,8 @@ _TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
 # longer document is a block of its own); this bounds a block's key arrays
 _BLOCK_CHARS = 16_384
 
-# bound on a CombinedVectorizer's word table: each entry is charged its column
-# and token ids, its word's length and _ENTRY_CHARGE for the entry itself
+# bound on a CombinedVectorizer's word table, dropped after a block that passes
+# it: each entry is charged its ids, its word's length and _ENTRY_CHARGE
 _TABLE_CAP = 1 << 20
 _ENTRY_CHARGE = 16
 
@@ -256,70 +258,36 @@ def _tfidf_rows(keys: np.ndarray, n_rows: int, vocabs: Sequence[Vocabulary]) -> 
     return CsrMatrix(data=weights, indices=columns, indptr=indptr, shape=(n_rows, int(ends[-1])))
 
 
-def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
-    """``buffer``, or a copy twice its size or more when it holds fewer than ``size``."""
-    if len(buffer) >= size:
-        return buffer
-    grown = np.empty(max(size, 2 * len(buffer)), dtype=buffer.dtype)
-    grown[:len(buffer)] = buffer
-    return grown
-
-
 class _WordTable:
-    """Whitespace-separated words -> entries in flat int64 buffers.
+    """Whitespace-separated words -> entries in flat int64 arrays.
 
     Entry ``e`` holds ``columns[column_ptr[e]:column_ptr[e + 1]]`` and
-    ``tokens[token_ptr[e]:token_ptr[e + 1]]``, laid out as in a CSR matrix;
-    the buffers double in size when full. ``charge`` is the sum over entries
-    of ``_ENTRY_CHARGE``, the word's length and its ids.
+    ``tokens[token_ptr[e]:token_ptr[e + 1]]``, laid out as in a CSR matrix.
+    ``charge`` is the sum over entries of ``_ENTRY_CHARGE``, the word's length
+    and its ids.
     """
 
     def __init__(self) -> None:
         self.entries: dict[str, int] = {}
         self.charge = 0
-        self.columns = np.empty(1024, dtype=np.int64)
-        self.tokens = np.empty(256, dtype=np.int64)
-        self.column_ptr = np.zeros(129, dtype=np.int64)
-        self.token_ptr = np.zeros(129, dtype=np.int64)
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.charge = 0
-
-    def add(self, words: list[str], columns: list[int], n_columns: list[int],
-            tokens: list[int], n_tokens: list[int]) -> None:
-        """Append one entry per word, given the words' ids end to end and
-        each word's count of them: one write per buffer."""
-        first = len(self.entries)
-        stop = first + len(words) + 1
-        column_ends = list(accumulate(n_columns, initial=int(self.column_ptr[first])))
-        token_ends = list(accumulate(n_tokens, initial=int(self.token_ptr[first])))
-        self.column_ptr = _grown(self.column_ptr, stop)
-        self.column_ptr[first:stop] = column_ends
-        self.token_ptr = _grown(self.token_ptr, stop)
-        self.token_ptr[first:stop] = token_ends
-        self.columns = _grown(self.columns, column_ends[-1])
-        self.columns[column_ends[0]:column_ends[-1]] = columns
-        self.tokens = _grown(self.tokens, token_ends[-1])
-        self.tokens[token_ends[0]:token_ends[-1]] = tokens
-        self.entries.update(zip(words, range(first, stop - 1)))
-        self.charge += _charge(words, columns, tokens)
+        self.columns = array("q")
+        self.tokens = array("q")
+        self.column_ptr = array("q", [0])
+        self.token_ptr = array("q", [0])
 
 
-def _charge(words: list[str], columns: list[int], tokens: list[int]) -> int:
-    """The table charge of entries for ``words`` holding these ids."""
-    return _ENTRY_CHARGE * len(words) + sum(map(len, words)) + len(columns) + len(tokens)
-
-
-def _runs(values: np.ndarray, ptr: np.ndarray, entries: np.ndarray,
+def _runs(values: array, ptr: array, entries: np.ndarray,
           base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The runs ``values[ptr[e]:ptr[e + 1]]`` of ``entries`` end to end, and
     each entry's ``base`` repeated along its run."""
-    starts = ptr[entries]
-    lengths = ptr[entries + 1] - starts
+    # an array cannot grow while a numpy view of it is alive (BufferError), so
+    # the views are only indexed here, and no view outlives the call
+    ptr_view = np.frombuffer(ptr, dtype=np.int64)
+    starts = ptr_view[entries]
+    lengths = ptr_view[entries + 1] - starts
     offsets = (starts - lengths.cumsum() + lengths).repeat(lengths)
     offsets += np.arange(len(offsets))
-    return values[offsets], base.repeat(lengths)
+    return np.frombuffer(values, dtype=np.int64)[offsets], base.repeat(lengths)
 
 
 @dataclass
@@ -338,16 +306,16 @@ class CombinedVectorizer:
     2 words.
 
     Each entry is charged its ids, its word's length and ``_ENTRY_CHARGE``
-    for itself. When a block's new entries would take the total charge past
-    ``_TABLE_CAP``, the table is emptied first; a block charged more than the
-    cap on its own, as is any block holding a word charged more than the cap,
-    is built through a table of its own that is dropped after it. So a flood
-    of long unseen words cannot grow the table. Its key strings, dict slots,
-    entry numbers and buffers take at most ~10 bytes per unit of charge
-    (measured with one-character words, the costliest per unit), so at worst
-    ~10 MiB. A new or loaded vectorizer starts with an empty table; the table
-    takes no part in equality or the fingerprint. Building rows updates the
-    table, so a vectorizer serves one thread at a time.
+    for itself. A block whose new entries take the charge past
+    ``_TABLE_CAP`` is built through the table, which is then dropped; the
+    next block starts an empty one. So between blocks the charge is at most
+    the cap, and while a block is built at most the cap plus that block's
+    own charge: a flood of long unseen words cannot grow the table. Its key
+    strings, dict slots, entry numbers and arrays take ~9.1 bytes per unit
+    of charge (measured with one-character words, the costliest per unit),
+    so ~9 MiB at the cap. A new or loaded vectorizer starts with an empty
+    table; the table takes no part in equality or the fingerprint. Building
+    rows updates the table, so a vectorizer serves one thread at a time.
     """
     word: Vocabulary
     char: Vocabulary
@@ -420,17 +388,15 @@ class CombinedVectorizer:
         order = keys.argsort()
         return ids, keys[order], columns[order]
 
-    def _analyse(self, words: list[str]) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The table entries of ``words``: their column ids end to end and each
-        word's count of them, then the same for their token ids."""
+    def _add(self, table: _WordTable, words: list[str]) -> None:
+        """Append an entry for each of ``words`` (distinct, and none of them in
+        ``table``) to ``table``, and add the entries to its charge."""
         word_get, char_get = self.word.term_to_index.get, self.char.term_to_index.get
         word_cfg, char_cfg = self.word.config, self.char.config
         offset, unigrams, bigrams = len(self.word), word_cfg.ngram_min == 1, self._bigrams
-        columns: list[int] = []
-        tokens: list[int] = []
-        n_columns, n_tokens = [], []
+        columns, tokens = table.columns, table.tokens
+        ids_before = len(columns) + len(tokens)
         for word in words:
-            start, token_start = len(columns), len(tokens)
             # lower-casing a word on its own is lower-casing it in its text:
             # the result splits at the same whitespace
             word_tokens = _tokens(word, word_cfg)
@@ -441,29 +407,22 @@ class CombinedVectorizer:
             if bigrams is not None:
                 token_ids = bigrams[0]
                 tokens.extend(map(token_ids.get, word_tokens, repeat(len(token_ids))))
-            n_columns.append(len(columns) - start)
-            n_tokens.append(len(tokens) - token_start)
-        return columns, n_columns, tokens, n_tokens
+            table.column_ptr.append(len(columns))
+            table.token_ptr.append(len(tokens))
+        table.entries.update(zip(words, count(len(table.entries))))
+        table.charge += (_ENTRY_CHARGE * len(words) + sum(map(len, words))
+                         + len(columns) + len(tokens) - ids_before)
 
     def _entries(self, words: list[str]) -> tuple[_WordTable, np.ndarray]:
-        """A table holding every one of ``words``, and each word's entry in it."""
+        """A table holding every one of ``words``, and each word's entry in it;
+        the table is dropped after the block if this takes it past the cap."""
         table = self._table
         found = list(map(table.entries.get, words))
         if None in found:
-            misses = list(dict.fromkeys(w for w, e in zip(words, found) if e is None))
-            analysed = self._analyse(misses)
-            if table.charge + _charge(misses, analysed[0], analysed[2]) > _TABLE_CAP:
-                # the block's words go into an emptied table, or into one of
-                # their own that is dropped after the block if they alone
-                # would pass the cap
-                misses = list(dict.fromkeys(words))
-                analysed = self._analyse(misses)
-                if _charge(misses, analysed[0], analysed[2]) > _TABLE_CAP:
-                    table = _WordTable()
-                else:
-                    table.clear()
-            table.add(misses, *analysed)
+            self._add(table, list(dict.fromkeys(w for w, e in zip(words, found) if e is None)))
             found = list(map(table.entries.get, words))
+            if table.charge > _TABLE_CAP:
+                self._table = _WordTable()
         return table, np.array(found, dtype=np.int64)
 
     def _block_rows(self, docs: list[str]) -> CsrMatrix:

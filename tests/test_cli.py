@@ -93,6 +93,15 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert f"{raw}: record 1 (id 'b2'): " in err and "'fat'" in err
 
+    def test_empty_split_refused_before_writing(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        write_jsonl(raw, make_raw_rows(3, seed=1))
+        out_dir = tmp_path / "data"
+        assert run("prepare", "--in", str(raw), "--out", str(out_dir), "--ratio", "0.3") == 1
+        assert ("error: ratio 0.3 of 3 samples leaves an empty split (train 0, validation 3)"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_deterministic_across_runs(self, raw_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -314,6 +323,18 @@ class TestTrainPredictEvaluate:
         assert f"error: {bad}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_empty_samples_file_names_file(self, trained_pipeline, tmp_path, capsys, command):
+        empty, model_path = tmp_path / "empty.jsonl", tmp_path / "model.bin"
+        empty.write_text("")
+        if command == "train":
+            argv = ["train", "--train", str(empty), "--out", str(model_path)]
+        else:
+            argv = ["bench", "--model", str(trained_pipeline["model"]), "--in", str(empty)]
+        assert run(*argv) == 1
+        assert f"error: {empty}: no samples" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_failed_model_write_keeps_last_good_pair(self, tmp_path, capsys, monkeypatch):
         data = {}
         for seed in (5, 6):
@@ -477,6 +498,29 @@ class TestLlmCommands:
             argv = ["predict", "--model", str(trained_pipeline["model"]), "--in", str(bad)]
         assert run(*argv, "--out", str(out)) == 1
         assert f"error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert endpoint_stub.requests == []
+
+    @pytest.mark.parametrize("command", ["predict", "bench", "llm-predict", "refine"])
+    @pytest.mark.parametrize("text", [5, None])
+    def test_ingredient_text_not_string_names_file(self, trained_pipeline, endpoint_stub,
+                                                   tmp_path, capsys, command, text):
+        config = stub_config(tmp_path, endpoint_stub)
+        bad, out, preds_path = tmp_path / "bad.jsonl", tmp_path / "out.jsonl", tmp_path / "p.jsonl"
+        write_jsonl(bad, [{"id": "a", "ingredient_text": "1 cup oats"},
+                          {"id": "b", "ingredient_text": text}])
+        write_jsonl(preds_path, [{"id": i, "fat": 1.0, "protein": 1.0, "saturates": 0.5,
+                                  "sugars": 2.0} for i in "ab"])
+        model = trained_pipeline["model"]
+        argv = {"predict": ["predict", "--model", model, "--in", bad, "--out", out],
+                "bench": ["bench", "--model", model, "--in", bad],
+                "llm-predict": ["--config", config, "llm-predict", "--endpoint", "local",
+                                "--in", bad, "--out", out],
+                "refine": ["--config", config, "refine", "--endpoint", "local",
+                           "--pred", preds_path, "--in", bad, "--out", out]}[command]
+        assert run(*map(str, argv)) == 1
+        assert (f"error: {bad}: bad sample record 1: ingredient_text must be a string"
+                in capsys.readouterr().err)
         assert not out.exists()
         assert endpoint_stub.requests == []
 

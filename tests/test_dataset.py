@@ -237,6 +237,15 @@ class TestSplit:
         with pytest.raises(ValueError, match="ratio"):
             split([sample(0, "a"), sample(1, "b")], ratio=1.0, seed=0)
 
+    @pytest.mark.parametrize("n, ratio, sizes", [(3, 0.3, "train 0, validation 3"),
+                                                 (1, 0.5, "train 0, validation 1"),
+                                                 (0, 0.5, "train 0, validation 0"),
+                                                 (10, 0.99999999999, "train 10, validation 0")])
+    def test_empty_split_refused(self, n, ratio, sizes):
+        with pytest.raises(ValueError, match=rf"ratio {ratio} of {n} samples leaves an empty "
+                                             rf"split \({sizes}\)"):
+            split([sample(i, f"t{i}") for i in range(n)], ratio=ratio, seed=1)
+
 
 class TestCanonicalDump:
     def test_round_trip(self, tmp_path):
@@ -252,6 +261,15 @@ class TestCanonicalDump:
         path = tmp_path / "dump.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="record 0"):
+            load_samples(path)
+
+    @pytest.mark.parametrize("text", ["5", "null", "[\"oats\"]"])
+    def test_ingredient_text_must_be_string(self, tmp_path, text):
+        path = tmp_path / "dump.jsonl"
+        path.write_text(f'{{"id": "a", "ingredient_text": "oats"}}\n'
+                        f'{{"id": "b", "ingredient_text": {text}}}\n')
+        with pytest.raises(ValueError, match=r"dump\.jsonl: bad sample record 1: "
+                                             "ingredient_text must be a string"):
             load_samples(path)
 
     def test_duplicate_id_names_file_and_record(self, tmp_path):

@@ -390,16 +390,20 @@ def test_bigram_vocabulary_spans_stopwords_and_tokenless_words():
     assert "of tartar" in BIGRAM_CVS[2].word.term_to_index
 
 
-@given(bigram_docs, st.sampled_from(BIGRAM_CVS), st.integers(1, 60), st.booleans())
-@example(["cream of\ttartar 1/2 cup", "", "Oil, - corn\u00a0olive OIL"], BIGRAM_CV, 1, False)
-@example(["low-fat milk the OIL", "qx", "soy sauce (tamari)"], BIGRAM_CVS[2], 60, True)
-def test_table_rows_match_dense_reference_and_single_rows(docs, fitted, block_chars, warm):
+@given(bigram_docs, st.sampled_from(BIGRAM_CVS), st.integers(1, 60), st.booleans(),
+       st.sampled_from([1, 64, 400, features._TABLE_CAP]))
+@example(["cream of\ttartar 1/2 cup", "", "Oil, - corn\u00a0olive OIL"], BIGRAM_CV, 1, False, 64)
+@example(["low-fat milk the OIL", "qx", "soy sauce (tamari)"], BIGRAM_CVS[2], 60, True, 1)
+def test_table_rows_match_dense_reference_and_single_rows(docs, fitted, block_chars, warm, cap):
     cv = CombinedVectorizer(fitted.word, fitted.char)
-    if warm:
-        transform_batch(docs[::-1] + ["olive oil 1/2 cream"], cv)
-    rows = [transform_combined(doc, CombinedVectorizer(cv.word, cv.char)) for doc in docs]
-    with patch.object(features, "_BLOCK_CHARS", block_chars):
-        matrix = transform_batch(docs, cv)
+    with patch.object(features, "_TABLE_CAP", cap):
+        if warm:
+            transform_batch(docs[::-1] + ["olive oil 1/2 cream"], cv)
+            assert cv._table.charge == recounted_charge(cv._table) <= cap
+        rows = [transform_combined(doc, CombinedVectorizer(cv.word, cv.char)) for doc in docs]
+        with patch.object(features, "_BLOCK_CHARS", block_chars):
+            matrix = transform_batch(docs, cv)
+        assert cv._table.charge == recounted_charge(cv._table) <= cap
     assert_same_rows(matrix, rows)
     dense = np.array([np.concatenate([dense_tfidf(d, cv.word), dense_tfidf(d, cv.char)])
                       for d in docs]).reshape(len(docs), cv.dim)
@@ -445,23 +449,30 @@ class TestWordTable:
                 table = cv._table
                 assert table.charge == recounted_charge(table) <= cap
                 sizes.append(len(table.entries))
-            assert max(sizes) > 1 and min(sizes) < max(sizes)  # in use, and emptied
-            # a word charged more than the cap on its own is never stored, and
-            # its block leaves the table as it was
-            before = dict(table.entries)
+            assert max(sizes) > 1 and min(sizes) < max(sizes)  # in use, and dropped
+            # a word charged more than the cap on its own still goes through
+            # the table, which is dropped after its block
             huge = "olive" * 100
             assert_dense_row(f"corn {huge} oil", cv)
-            assert table.entries == before and huge not in table.entries
-            assert table.charge == recounted_charge(table) <= cap
+            assert not cv._table.entries and cv._table.charge == 0
 
-    def test_block_past_cap_empties_table_first(self):
+    def test_block_past_cap_drops_table_after_it(self):
         cv = CombinedVectorizer(BIGRAM_CV.word, BIGRAM_CV.char)
         transform_combined("olive oil", cv)
-        charge = cv._table.charge
-        with patch.object(features, "_TABLE_CAP", charge + 30):
+        table, cap = cv._table, cv._table.charge + 30
+        with patch.object(features, "_TABLE_CAP", cap):
+            # the block's entries take the charge past the cap: its row is
+            # built through the table, which is then dropped
             assert_dense_row("corn oil, raw", cv)
-        assert set(cv._table.entries) == {"corn", "oil,", "raw"}
-        assert cv._table.charge == recounted_charge(cv._table)
+            assert set(table.entries) == {"olive", "oil", "corn", "oil,", "raw"}
+            assert table.charge == recounted_charge(table) > cap
+            assert not cv._table.entries and cv._table.charge == 0
+            # blocks that keep the charge within the cap keep the table
+            assert_dense_row("raw oil", cv)
+            kept = cv._table
+            assert_dense_row("corn", cv)
+            assert cv._table is kept and set(kept.entries) == {"raw", "oil", "corn"}
+            assert kept.charge == recounted_charge(kept) <= cap
 
     def test_entry_holds_columns_and_token_ids(self):
         cv = CombinedVectorizer(BIGRAM_CV.word, BIGRAM_CV.char)
