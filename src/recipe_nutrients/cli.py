@@ -168,6 +168,11 @@ def cmd_train(args, config: dict) -> int:
     train_samples = _nonempty_samples(args.train)
     train_labels = _labeled_samples(train_samples, args.train)
     texts = [s.ingredient_text for s in train_samples]
+    if args.alpha_grid is not None:
+        # the scoring inputs are checked before the fit and the solves
+        val_samples = _nonempty_samples(args.val)
+        val_labels = _labeled_samples(val_samples, args.val)
+        rules = ev.load_rules(args.rules)
 
     print(f"fitting vectorizers on {len(texts)} documents ...")
     cv = features.fit_combined(texts)
@@ -176,9 +181,6 @@ def cmd_train(args, config: dict) -> int:
     labels = [train_labels[s.id] for s in train_samples]
 
     if args.alpha_grid is not None:
-        val_samples = dataset.load_samples(args.val)
-        val_labels = _labeled_samples(val_samples, args.val)
-        rules = ev.load_rules(args.rules)
         models = ridge.train_path(matrix, labels, alphas=alphas, config=cfg)
         # the training rows go before the validation rows are built, so the
         # two matrices never add up in the peak memory
@@ -295,7 +297,9 @@ def cmd_merge(args, config: dict) -> int:
 
 def cmd_evaluate(args, config: dict) -> int:
     preds = ev.load_predictions(args.pred)
-    samples = dataset.load_samples(args.labels)
+    if not preds:
+        raise ValueError(f"{args.pred}: no predictions")
+    samples = _nonempty_samples(args.labels)
     labels = _labeled_samples(samples, args.labels)
     rules = ev.load_rules(args.rules)
 

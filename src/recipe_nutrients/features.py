@@ -7,17 +7,24 @@ to an L2-normalized row per vocabulary, and the two rows sit side by side in
 one row of the feature matrix.
 
 Neither a word token nor a char_wb gram crosses whitespace, so a document's
-tokens and char grams are the concatenation of its words': the char-mode
-``fit`` analyses each distinct word of the corpus once, and a
-``CombinedVectorizer`` keeps one bounded table from each whitespace-separated
-word to its in-vocabulary columns (word unigrams and char grams) and the ids of
-its tokens in the word vocabulary's bigrams, in int64 arrays, so a word is
-analysed once, for both vocabularies, for the documents it turns up in. Rows
-are built in blocks of at most ``_BLOCK_CHARS`` characters: a block's words
-are looked up in the table, their columns gathered in numpy, its bigrams
-matched from adjacent token ids, and its (row, column) occurrences counted,
-weighted and normalized in numpy; the blocks' rows are stacked into one CSR
-matrix.
+tokens and char grams are the concatenation of its words'. The char-mode
+``fit`` takes the documents ``_FIT_DOCS`` (2,048) at a time and keeps, for
+each distinct word of a chunk, the set of the chunk's documents that hold it
+as the bits of an int; it analyses each distinct word of a chunk once, ORs
+the word's set into each of its grams' sets, and adds each set's popcount to
+its gram's df. A gram's set costs at most 300 bytes (a 2,048-bit int on
+CPython 3.11). The word-mode ``fit`` counts each document's terms, as its
+bigrams cross words.
+
+A ``CombinedVectorizer`` keeps one bounded table from each
+whitespace-separated word to its in-vocabulary columns (word unigrams and
+char grams) and the ids of its tokens in the word vocabulary's bigrams, in
+int64 arrays, so a word is analysed once, for both vocabularies, for the
+documents it turns up in. Rows are built in blocks of at most
+``_BLOCK_CHARS`` characters: a block's words are looked up in the table,
+their columns gathered in numpy, its bigrams matched from adjacent token ids,
+and its (row, column) occurrences counted, weighted and normalized in numpy;
+the blocks' rows are stacked into one CSR matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Sequence
@@ -48,6 +55,10 @@ _TOKEN = re.compile(r"[^\W_]{2,}", re.UNICODE)
 # documents become rows in blocks of at most this many characters of text (a
 # longer document is a block of its own); this bounds a block's key arrays
 _BLOCK_CHARS = 16_384
+
+# the char-mode fit takes the documents in chunks of this many: a gram's
+# document mask within a chunk is an int of up to this many bits
+_FIT_DOCS = 2_048
 
 # bound on a CombinedVectorizer's word table, dropped after a block that passes
 # it: each entry is charged its ids, its word's length and _ENTRY_CHARGE
@@ -191,27 +202,69 @@ class Vocabulary:
             raise ValueError("vocabulary exceeds max_features")
 
 
+def _char_counts(corpus: list[str], config: VectorizerConfig
+                 ) -> tuple[dict[str, int], dict[str, int]]:
+    """Each char_wb gram's df and total count over ``corpus``.
+
+    The documents are taken ``_FIT_DOCS`` at a time. Within a chunk, each
+    distinct word holds a document mask, an int with bit ``d`` set when the
+    chunk's document ``d`` holds the word, and its count. Each distinct word
+    of the chunk is then analysed once: its mask is OR-ed into each of its
+    grams' masks and its count added to each of its grams' totals (once per
+    occurrence of the gram in the word). Grams never cross whitespace, so a
+    gram's mask holds the chunk's documents that hold it, and its df grows
+    by the mask's popcount.
+    """
+    df: dict[str, int] = {}
+    totals: dict[str, int] = {}
+    for start in range(0, len(corpus), _FIT_DOCS):
+        counts: Counter[str] = Counter()
+        word_masks: dict[str, int] = {}
+        for d, doc in enumerate(corpus[start:start + _FIT_DOCS]):
+            words = _char_words(doc, config)
+            counts.update(words)
+            bit = 1 << d
+            for word in set(words):
+                word_masks[word] = word_masks.get(word, 0) | bit
+        masks: dict[str, int] = {}
+        for word, mask in word_masks.items():
+            n = counts[word]
+            for gram in word_grams(word, config):
+                masks[gram] = masks.get(gram, 0) | mask
+                totals[gram] = totals.get(gram, 0) + n
+        if df:
+            for gram, mask in masks.items():
+                df[gram] = df.get(gram, 0) + mask.bit_count()
+        else:
+            # the first chunk's masks become the df in place, so the two
+            # dicts are never held side by side
+            for gram, mask in masks.items():
+                masks[gram] = mask.bit_count()
+            df = masks
+    return df, totals
+
+
 def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
     """Fit a vocabulary: df filtering, feature cap, smooth idf.
 
     Terms survive when min_df <= df(t) and df(t)/n_docs <= max_df. Above
     max_features, the highest total-count terms win (ties lexicographic).
     idf(t) = ln((1 + n_docs) / (1 + df(t))) + 1.
+
+    In char_wb mode the counts come from per-word document sets, chunk by
+    chunk of ``_FIT_DOCS`` documents, each distinct word of a chunk analysed
+    once (see :func:`_char_counts`); in word mode from each document's terms.
     """
     if not corpus:
         raise ValueError("corpus is empty")
     if config.mode == "char_wb":
-        # grams never cross whitespace: analyse each distinct word of the corpus once
-        grams = cache(partial(word_grams, config=config))
-        doc_terms = (list(chain.from_iterable(map(grams, _char_words(doc, config))))
-                     for doc in corpus)
+        df, totals = _char_counts(corpus, config)
     else:
-        doc_terms = (tokenize_words(doc, config) for doc in corpus)
-    df: Counter[str] = Counter()
-    totals: Counter[str] = Counter()
-    for terms in doc_terms:
-        totals.update(terms)
-        df.update(set(terms))
+        df, totals = Counter(), Counter()
+        for doc in corpus:
+            terms = tokenize_words(doc, config)
+            totals.update(terms)
+            df.update(set(terms))
 
     n_docs = len(corpus)
     surviving = [t for t, d in df.items()

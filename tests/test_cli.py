@@ -7,13 +7,14 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import Scripted, ScriptedServer, completion_body, make_raw_rows, write_jsonl
 
-from recipe_nutrients import cli, ridge
+from recipe_nutrients import cli, features, ridge
 from recipe_nutrients.evaluate import load_predictions
 from recipe_nutrients.dataset import SCORED_NUTRIENTS, load_samples, save_samples
 from recipe_nutrients.features import CombinedVectorizer, transform_batch
@@ -334,6 +335,40 @@ class TestTrainPredictEvaluate:
         assert run(*argv) == 1
         assert f"error: {empty}: no samples" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("case, message", [("empty", "no samples"),
+                                               ("unlabeled", "has no labels")])
+    def test_grid_validation_file_checked_before_fit(self, trained_pipeline, tmp_path, capsys,
+                                                     monkeypatch, case, message):
+        def no_fit(texts):
+            raise AssertionError("fit_combined called")
+
+        monkeypatch.setattr(features, "fit_combined", no_fit)
+        val, model_path = tmp_path / "val.jsonl", tmp_path / "grid.bin"
+        samples = load_samples(trained_pipeline["val"])[:3] if case == "unlabeled" else []
+        save_samples(val, [replace(s, labels=None) for s in samples])
+        assert run("train", "--train", str(trained_pipeline["train"]), "--out", str(model_path),
+                   "--alpha-grid", "10,100", "--val", str(val)) == 1
+        captured = capsys.readouterr()
+        assert f"error: {val}: " in captured.err and message in captured.err
+        assert "fitting" not in captured.out
+        assert not model_path.exists()
+
+    def test_evaluate_empty_predictions_names_file(self, trained_pipeline, tmp_path, capsys):
+        empty = tmp_path / "preds.jsonl"
+        empty.write_text("")
+        assert run("evaluate", "--pred", str(empty),
+                   "--labels", str(trained_pipeline["val"])) == 1
+        assert f"error: {empty}: no predictions" in capsys.readouterr().err
+
+    def test_evaluate_empty_labels_names_file(self, trained_pipeline, tmp_path, capsys):
+        preds, empty = tmp_path / "preds.jsonl", tmp_path / "labels.jsonl"
+        assert run("predict", "--model", str(trained_pipeline["model"]),
+                   "--in", str(trained_pipeline["val"]), "--out", str(preds)) == 0
+        empty.write_text("")
+        capsys.readouterr()
+        assert run("evaluate", "--pred", str(preds), "--labels", str(empty)) == 1
+        assert f"error: {empty}: no samples" in capsys.readouterr().err
 
     def test_failed_model_write_keeps_last_good_pair(self, tmp_path, capsys, monkeypatch):
         data = {}
@@ -758,6 +793,16 @@ def _package_imports(path: Path) -> set[str]:
                          else [alias.name for alias in node.names])
         nodes.extend(ast.iter_child_nodes(node))
     return found
+
+
+def test_modules_parse_as_oldest_supported_python():
+    # syntax newer than requires-python fails here, not only under that Python
+    root = Path(cli.__file__).parents[2]
+    oldest = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    feature_version = (3, int(oldest.group(1)))
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=feature_version)
 
 
 def test_cli_imports_every_module():

@@ -339,12 +339,7 @@ def test_rows_same_with_cold_and_warm_table(docs):
     assert_same_rows(transform_batch(docs, warm), [transform_combined(d, cold) for d in docs])
 
 
-# half the profile's examples: 50 by default, 500 under the ci profile
-@settings(max_examples=settings.default.max_examples // 2)
-@given(st.lists(unicode_docs.map(" ".join), min_size=1, max_size=6),
-       st.sampled_from([ccfg(min_df=1), ccfg(min_df=2, max_df=0.7), ccfg(2, 4, max_features=7),
-                        ccfg(1, 3, lowercase=False), wcfg(ngram_max=2, max_features=5)]))
-def test_fit_matches_counting_analyze_output(corpus, config):
+def assert_fit_matches_reference(corpus, config):
     term_to_index, idf = reference_fit(corpus, config)
     if not term_to_index:
         with pytest.raises(ValueError, match="survived"):
@@ -353,6 +348,63 @@ def test_fit_matches_counting_analyze_output(corpus, config):
     vocab = fit(corpus, config)
     assert list(vocab.term_to_index.items()) == list(term_to_index.items())
     assert vocab.idf.tobytes() == idf.tobytes()
+
+
+# half the profile's examples: 50 by default, 500 under the ci profile
+@settings(max_examples=settings.default.max_examples // 2)
+@given(st.lists(unicode_docs.map(" ".join), min_size=1, max_size=6),
+       st.sampled_from([ccfg(min_df=1), ccfg(min_df=2, max_df=0.7), ccfg(2, 4, max_features=7),
+                        ccfg(1, 3, lowercase=False), wcfg(ngram_max=2, max_features=5)]),
+       st.sampled_from([1, 2, 3, features._FIT_DOCS]))
+def test_fit_matches_counting_analyze_output(corpus, config, fit_docs):
+    # patched here, not by a fixture: hypothesis refuses function-scoped fixtures
+    with patch.object(features, "_FIT_DOCS", fit_docs):
+        assert_fit_matches_reference(corpus, config)
+
+
+# "salt" recurs across chunks of two documents, "salt salted" shares grams
+# within one document, and empty and whitespace-only documents hold no word
+CHUNKED_CORPUS = ["salt salted", "", "Salt \t pepper", "SALT", " \t\n", "pepper salt salt",
+                  "salted", "  ", "salt"]
+
+
+def fitted_df(vocab):
+    """Each term's df, recovered from its smooth idf."""
+    n = vocab.n_docs
+    return {t: round((1 + n) / math.exp(vocab.idf[i] - 1.0) - 1)
+            for t, i in vocab.term_to_index.items()}
+
+
+@pytest.mark.parametrize("fit_docs", [1, 2, 3, features._FIT_DOCS])
+def test_chunked_char_fit_counts_each_document_once(fit_docs):
+    with patch.object(features, "_FIT_DOCS", fit_docs):
+        df = fitted_df(fit(CHUNKED_CORPUS, ccfg()))
+        # "alt" is in both words of document 0 and in "SALT" lower-cased
+        assert (df[" sa"], df["alt"], df["lted"], df[" pep"]) == (6, 6, 2, 2)
+        case_df = fitted_df(fit(CHUNKED_CORPUS, ccfg(lowercase=False)))
+        assert (case_df[" sa"], case_df[" Sa"], case_df[" SAL"], case_df["alt"]) == (4, 1, 1, 5)
+        for config in (ccfg(), ccfg(lowercase=False), ccfg(min_df=2, max_df=0.5),
+                       ccfg(3, 4, max_features=4), ccfg(1, 2, max_features=10),
+                       ccfg(1, 2, max_features=16, lowercase=False)):
+            assert_fit_matches_reference(CHUNKED_CORPUS, config)
+
+
+@pytest.mark.parametrize("fit_docs", [1, 2, 4, features._FIT_DOCS])
+def test_char_fit_analyses_each_distinct_word_once_per_chunk(fit_docs):
+    calls = Counter()
+
+    def counted(word, config):
+        calls[word] += 1
+        return word_grams(word, config)
+
+    with patch.object(features, "_FIT_DOCS", fit_docs), \
+            patch.object(features, "word_grams", counted):
+        fit(CHUNKED_CORPUS, ccfg())
+    once_per_chunk = Counter()
+    for start in range(0, len(CHUNKED_CORPUS), fit_docs):
+        once_per_chunk.update({word for doc in CHUNKED_CORPUS[start:start + fit_docs]
+                               for word in doc.lower().split()})
+    assert calls <= once_per_chunk
 
 
 # bigrams that span a stopword ("cream of tartar"), a word with no token
