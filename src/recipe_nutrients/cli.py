@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 
+# validation rows per block when a grid's models are scored
+SCORE_ROWS = 256
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
@@ -183,14 +186,21 @@ def cmd_train(args, config: dict) -> int:
     if args.alpha_grid is not None:
         models = ridge.train_path(matrix, labels, alphas=alphas, config=cfg)
         # the training rows go before the validation rows are built, so the
-        # two matrices never add up in the peak memory
+        # two matrices never add up in the peak memory; the validation rows are
+        # built and predicted SCORE_ROWS at a time, so their matrix is never
+        # whole either (transform_batch holds twice its output while stacking)
         del matrix
-        val_matrix = features.transform_batch([s.ingredient_text for s in val_samples], cv)
+        val_preds: list[dict] = [{} for _ in models]
+        for start in range(0, len(val_samples), SCORE_ROWS):
+            block = val_samples[start:start + SCORE_ROWS]
+            block_matrix = features.transform_batch([s.ingredient_text for s in block], cv)
+            for preds, model in zip(val_preds, models):
+                preds.update(_predictions(model, block_matrix, block))
 
         best = None
         # scored in the order given, so a tie goes to the first alpha
-        for model in models:
-            report = ev.evaluate(_predictions(model, val_matrix, val_samples), val_labels, rules)
+        for model, preds in zip(models, val_preds):
+            report = ev.evaluate(preds, val_labels, rules)
             mean_acc = (sum(sc.accuracy_percent for sc in report.per_nutrient.values())
                         / len(SCORED_NUTRIENTS))
             print(f"alpha={model.config.alpha:g}: mean accuracy {mean_acc:.2f} "
@@ -230,6 +240,9 @@ def _load_model_and_vectorizer(model_path: str):
         raise ValueError(
             f"{model_path}: vectorizer fingerprint mismatch: model expects "
             f"{model.vectorizer_fingerprint}, {vocab_path} has {cv.fingerprint()}")
+    if model.feature_dim != cv.dim:
+        raise ValueError(f"{model_path}: model has {model.feature_dim} features but "
+                         f"{vocab_path} has {cv.dim}; retrain it")
     return model, cv
 
 

@@ -6,6 +6,11 @@ matrix is never densified, and the unpenalized intercept follows from the means.
 One multi-shift CG sequence per target solves a whole grid of penalties, and
 the targets' solves run side by side on a thread pool, one worker per usable
 CPU: numpy releases the GIL in the sparse products, so the solves overlap.
+CG runs on the design matrix's distinct columns: each group of m exactly
+equal columns (char grams that only occur inside one word, say) is solved as
+one column scaled by sqrt(m), whose weight over sqrt(m) goes to each of them.
+That is the same minimiser, since equal columns get equal ridge weights and
+the penalty m u^2 of the group is the merged column's w'^2.
 Predictions clamp at zero because nutrient quantities cannot be negative.
 """
 
@@ -22,10 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import SCORED_NUTRIENTS, NutrientPrediction, NutrientVector
-from .kernels import CsrMatrix
+from .kernels import REPEAT_ROWS, CsrMatrix
 from .util import atomic_write
 
 MODEL_FORMAT_VERSION = 2
+
+# slots of the (row, group) table that checks a block's grouped columns
+_TABLE_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,118 @@ def _multishift_cg(apply_op, rhs: np.ndarray, shifts: Sequence[float], tol: floa
     return z, iterations, residuals
 
 
+def _row_blocks(matrix: CsrMatrix, size: int = REPEAT_ROWS):
+    """(start, stop, lo, hi) for each block of ``size`` rows and its entry range."""
+    rows = matrix.shape[0]
+    for start in range(0, rows, size):
+        stop = min(start + size, rows)
+        yield start, stop, int(matrix.indptr[start]), int(matrix.indptr[stop])
+
+
+def _column_hashes(matrix: CsrMatrix, col_nnz: np.ndarray) -> np.ndarray:
+    """Each column's nnz and two fixed-seed random projections, as a (3, d) array.
+
+    Equal columns get equal bits: bincount adds each column's entries in row
+    order, and each block's sums are added in the same order.
+    """
+    n, d = matrix.shape
+    counts = np.diff(matrix.indptr)
+    projections = np.random.default_rng(0).random((2, n))
+    keys = np.zeros((3, d), dtype=np.float64)
+    keys[0] = col_nnz
+    for start, stop, lo, hi in _row_blocks(matrix):
+        for key, p in zip(keys[1:], projections):
+            key += np.bincount(matrix.indices[lo:hi], minlength=d,
+                               weights=np.repeat(p[start:stop], counts[start:stop])
+                               * matrix.data[lo:hi])
+    return keys
+
+
+def _split_unequal(matrix: CsrMatrix, leader: np.ndarray, col_nnz: np.ndarray) -> None:
+    """Make each column that is not equal to ``leader[column]`` lead itself, in place.
+
+    A member is equal to its leader when their nnz agree and each of the
+    member's entries has the same row and value as one of the leader's. A
+    column with an entry in a block of rows that do not each hold their
+    column indices strictly increasing leads itself too: a repeated index
+    would defeat that test.
+    """
+    d = matrix.shape[1]
+    alone = col_nnz != col_nnz[leader]
+    leader[alone] = np.flatnonzero(alone)
+    # a block's entries of the grouped leaders go into a (row, group) table,
+    # where each member's entry looks up its value; NaN marks a slot left
+    # empty and equals nothing, and each block clears what it wrote
+    multi = np.bincount(leader, minlength=d) > 1
+    width = int(multi.sum())
+    if not width:
+        return
+    slot = np.cumsum(multi) - 1
+    rows_per_block = max(1, min(REPEAT_ROWS, _TABLE_SLOTS // width))
+    table = np.full(rows_per_block * width, np.nan)
+    counts = np.diff(matrix.indptr)
+    for start, stop, lo, hi in _row_blocks(matrix, rows_per_block):
+        cols, data = matrix.indices[lo:hi], matrix.data[lo:hi]
+        rows = np.repeat(np.arange(stop - start), counts[start:stop])
+        entries = rows * d + cols
+        if not (entries[1:] > entries[:-1]).all():
+            leader[cols] = cols
+            continue
+        leads = np.flatnonzero(multi[cols])
+        members = np.flatnonzero(leader[cols] != cols)
+        at = rows[leads] * width + slot[cols[leads]]
+        table[at] = data[leads]
+        differ = cols[members[table[rows[members] * width + slot[leader[cols[members]]]]
+                              != data[members]]]
+        table[at] = np.nan
+        leader[differ] = differ
+
+
+def _merge_equal_columns(matrix: CsrMatrix) -> tuple[CsrMatrix, np.ndarray, np.ndarray]:
+    """``matrix`` with each group of m exactly equal columns held once, scaled by sqrt(m).
+
+    Returns the merged matrix, each column's group (its column in the merged
+    matrix; groups are numbered in the order of their lowest columns) and
+    each column's sqrt(m). The columns whose hashes (:func:`_column_hashes`)
+    are equal form a group led by the lowest of them, and a member that is
+    not equal to its leader (:func:`_split_unequal`) stays a column of its
+    own. The merged matrix is built a block of rows at a time, so no
+    temporary is nnz long; with no two columns merged, it is ``matrix``.
+    """
+    n, d = matrix.shape
+    col_nnz = np.bincount(matrix.indices, minlength=d)
+    keys = _column_hashes(matrix, col_nnz)
+    # stable, so each run of equal keys starts with its lowest column
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    starts = np.ones(d, dtype=bool)
+    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    leader = np.empty(d, dtype=np.int64)
+    leader[order] = order[np.maximum.accumulate(np.where(starts, np.arange(d), 0))]
+    _split_unequal(matrix, leader, col_nnz)
+    is_leader = leader == np.arange(d)
+    if is_leader.all():
+        return matrix, np.arange(d), np.ones(d)
+
+    group = (np.cumsum(is_leader) - 1)[leader]
+    root = np.sqrt(np.bincount(group))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    nnz = int(col_nnz[is_leader].sum())
+    indices, data = np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.float64)
+    pos = 0
+    for start, stop, lo, hi in _row_blocks(matrix):
+        cols = matrix.indices[lo:hi]
+        keep = np.flatnonzero(is_leader[cols])
+        end = pos + len(keep)
+        indices[pos:end] = group[cols[keep]]
+        np.multiply(matrix.data[lo:hi][keep], root[indices[pos:end]], out=data[pos:end])
+        indptr[start + 1:stop + 1] = pos + np.searchsorted(
+            keep, matrix.indptr[start + 1:stop + 1] - lo)
+        pos = end
+    return (CsrMatrix(data=data, indices=indices, indptr=indptr, shape=(n, len(root))),
+            group, root[group])
+
+
 def train_path(matrix: CsrMatrix,
                labels: Sequence[NutrientVector],
                targets: Sequence[str] = SCORED_NUTRIENTS,
@@ -166,13 +286,16 @@ def train_path(matrix: CsrMatrix,
     configs = [replace(config, alpha=float(alpha)) for alpha in alphas]
     base_alpha = min(c.alpha for c in configs)
     shifts = [c.alpha - base_alpha for c in configs]
-    mu = (matrix.rmatvec(np.ones(n)) / n if config.fit_intercept
-          else np.zeros(d, dtype=np.float64))
+    # the solve runs on the distinct columns; each column's weight is then
+    # its group's weight over sqrt(m)
+    merged, group, scale = _merge_equal_columns(matrix)
+    mu = (merged.rmatvec(np.ones(n)) / n if config.fit_intercept
+          else np.zeros(merged.shape[1], dtype=np.float64))
 
     def apply_op(z, work):
-        u = matrix.matvec(z, work)
+        u = merged.matvec(z, work)
         u -= _dot(mu, z)
-        out = matrix.rmatvec(u, work)
+        out = merged.rmatvec(u, work)
         out -= u.sum() * mu
         out += base_alpha * z
         return out
@@ -186,7 +309,7 @@ def train_path(matrix: CsrMatrix,
     # own malloc arena after they are freed, which raises the peak RSS
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put(np.empty(matrix.nnz, dtype=np.float64))
+        buffers.put(np.empty(merged.nnz, dtype=np.float64))
 
     def solve(t_index):
         y = np.asarray([getattr(lv, targets[t_index]) for lv in labels], dtype=np.float64)
@@ -194,7 +317,7 @@ def train_path(matrix: CsrMatrix,
         y -= y_mean
         work = buffers.get()
         try:
-            rhs = matrix.rmatvec(y, work)
+            rhs = merged.rmatvec(y, work)
             rhs -= y.sum() * mu
             solutions, iterations, residuals = _multishift_cg(
                 lambda z: apply_op(z, work), rhs, shifts, config.solver_tol,
@@ -202,7 +325,7 @@ def train_path(matrix: CsrMatrix,
         finally:
             buffers.put(work)
         for model, w in zip(models, solutions):
-            model.weights[t_index] = w
+            model.weights[t_index] = w[group] / scale
             model.intercepts[t_index] = y_mean - _dot(mu, w)
         return iterations, residuals
 
@@ -307,12 +430,16 @@ def load_model(path: str | Path) -> RidgeModel:
         solver_stats = {str(target): SolverStats(iterations=int(stats["iterations"]),
                                                  relative_residual=float(stats["relative_residual"]))
                         for target, stats in payload["solver_stats"].items()}
+        warnings = payload.get("warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
+        fingerprint = payload.get("vectorizer_fingerprint")
+        if not (fingerprint is None or isinstance(fingerprint, str)):
+            raise ValueError(f"vectorizer_fingerprint must be a string or null, got {fingerprint!r}")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"{path}: corrupted model file: {exc}") from exc
     if not (np.isfinite(weights).all() and np.isfinite(intercepts).all()):
         raise ValueError(f"{path}: corrupted model file: weights or intercepts are not finite")
     return RidgeModel(targets=targets, weights=weights, intercepts=intercepts,
-                      feature_dim=feature_dim, config=config,
-                      vectorizer_fingerprint=payload.get("vectorizer_fingerprint"),
-                      warnings=[str(w) for w in payload.get("warnings", [])],
-                      solver_stats=solver_stats)
+                      feature_dim=feature_dim, config=config, vectorizer_fingerprint=fingerprint,
+                      warnings=warnings, solver_stats=solver_stats)

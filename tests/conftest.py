@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+import warnings
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -14,9 +15,20 @@ from hypothesis import settings
 from recipe_nutrients import cli
 from recipe_nutrients.util import format_decimal
 
+pytest_plugins = ["pytester"]
+
 # a longer search for the property tests, chosen with --hypothesis-profile=ci;
 # with no deadline, a slow runner does not fail an example for its time alone
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+# hypothesis imports this module when a property fails, to suggest an
+# @example; the libcst it imports raises a DeprecationWarning, which the
+# "warnings are errors" filter would turn into a pytest INTERNALERROR that
+# hides the falsifying example and stops the run. Imported here once, with
+# that warning ignored, so the filter stays in force for all other code.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # name -> per-100 g densities (energy, fat, protein, salt, saturates, sugars)
 PANTRY = {

@@ -216,6 +216,24 @@ class TestTrainPredictEvaluate:
             in captured.err
         assert not out.exists() and "mean=" not in captured.out
 
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_model_of_another_dim_refused(self, trained_pipeline, tmp_path, capsys, command):
+        # the fingerprint matches, but the weights have one column too many
+        model = ridge.load_model(trained_pipeline["model"])
+        dim = model.feature_dim
+        model.weights = np.hstack([model.weights, np.zeros((len(model.targets), 1))])
+        model.feature_dim = dim + 1
+        model_path = tmp_path / "wide.bin"
+        ridge.save_model(model, model_path)
+        shutil.copyfile(f"{trained_pipeline['model']}.vocab.json", f"{model_path}.vocab.json")
+        out = tmp_path / "p.jsonl"
+        argv = [command, "--model", str(model_path), "--in", str(trained_pipeline["val"])]
+        assert run(*argv, *(["--out", str(out)] if command == "predict" else [])) == 1
+        captured = capsys.readouterr()
+        assert (f"error: {model_path}: model has {dim + 1} features but "
+                f"{model_path}.vocab.json has {dim}; retrain it") in captured.err
+        assert not out.exists() and "mean=" not in captured.out
+
     def test_alpha_grid_selects_and_trains(self, trained_pipeline, tmp_path, capsys):
         model_path = tmp_path / "grid.bin"
         assert run("train", "--train", str(trained_pipeline["train"]),

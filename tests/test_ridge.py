@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from recipe_nutrients import ridge
 from recipe_nutrients.dataset import NutrientVector
-from recipe_nutrients.kernels import from_dense
+from recipe_nutrients.kernels import CsrMatrix, from_dense
 from recipe_nutrients.ridge import (
     NutrientPrediction,
     RidgeConfig,
@@ -229,6 +229,121 @@ def test_path_matches_closed_form_per_alpha(problem):
         np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-6)
         assert model.intercepts[0] == pytest.approx(b, abs=1e-6)
         assert not model.warnings
+
+
+@st.composite
+def copied_columns(draw):
+    """A design whose columns repeat 1-4 times, each beside a near-copy: one
+    value one ulp off, the same values in other rows, or the column doubled."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 5))
+    base = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-3, 3)))
+    base[~draw(hnp.arrays(np.bool_, (n, k)))] = 0.0
+    base[base == 0.0] = 0.0  # no -0.0, which the sparse matrix does not store
+    columns = []
+    for column in base.T:
+        columns += [column] * draw(st.integers(1, 4))
+        near = draw(st.sampled_from(["ulp", "rows", "double"]))
+        nonzero = np.flatnonzero(column)
+        if near == "ulp" and len(nonzero):
+            column = column.copy()
+            i = draw(st.sampled_from(nonzero.tolist()))
+            column[i] = np.nextafter(column[i], np.inf)
+        elif near == "rows":
+            column = np.roll(column, draw(st.integers(1, n)))
+        else:
+            column = 2 * column
+        columns.append(column)
+    order = draw(st.permutations(range(len(columns))))
+    X = np.stack([columns[i] for i in order], axis=1)
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 10)))
+    alphas = draw(st.lists(st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+                           min_size=1, max_size=4, unique=True))
+    return X, y, alphas, draw(st.booleans())
+
+
+def assert_path_matches_closed_form(X, y, alphas, fit_intercept):
+    models = train_path(from_dense(X), labels_for(y), ["fat"], alphas,
+                        RidgeConfig(fit_intercept=fit_intercept, solver_tol=1e-12,
+                                    max_iterations=10_000))
+    for alpha, model in zip(alphas, models):
+        if fit_intercept:
+            w, b = closed_form_with_intercept(X, y, alpha)
+        else:
+            w, b = closed_form(X, y, alpha), 0.0
+        np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-6)
+        assert model.intercepts[0] == pytest.approx(b, abs=1e-6)
+        assert not model.warnings
+    return models
+
+
+@settings(max_examples=60, deadline=None)
+@given(copied_columns())
+def test_equal_columns_merge_into_the_same_solution(problem):
+    X, y, alphas, fit_intercept = problem
+    matrix = from_dense(X)
+    merged, group, scale = ridge._merge_equal_columns(matrix)
+    # no two unequal columns share a merged column
+    np.testing.assert_allclose(merged.toarray()[:, group] / scale, X, rtol=1e-15, atol=0)
+    pairs = [(j, k) for j, k in zip(*np.triu_indices(X.shape[1], 1))
+             if np.array_equal(X[:, j], X[:, k])]
+    # and each set of equal columns is one, unless a near-copy's hash collides
+    # with the column it copies (which leaves it, and perhaps that column's
+    # copies, unmerged)
+    hashes = ridge._column_hashes(matrix, np.count_nonzero(X, axis=0))
+    if len({tuple(key) for key in hashes.T}) == len({tuple(column) for column in X.T}):
+        assert merged.shape[1] == len({tuple(column) for column in X.T})
+        assert all(group[j] == group[k] for j, k in pairs)
+    for model in assert_path_matches_closed_form(X, y, alphas, fit_intercept):
+        assert all(model.weights[0][j] == model.weights[0][k] for j, k in pairs)
+
+
+def near_copies():
+    """Column 0, a copy of it, four columns that share its nnz, rows or values
+    without being copies, and a pair equal to each other only."""
+    rng = np.random.default_rng(13)
+    first = np.array([1.5, 0.0, -2.0, 0.25, 0.0, 3.0])
+    other = rng.normal(size=6)
+    subset = first.copy()
+    subset[0] = 0.0
+    ulp = first.copy()
+    ulp[2] = np.nextafter(ulp[2], np.inf)
+    return np.stack([first, first, subset, ulp, np.roll(first, 1), 2 * first, other, other],
+                    axis=1), rng.random(6) * 5
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+def test_colliding_hashes_merge_only_equal_columns(monkeypatch, fit_intercept):
+    # every column hashes alike, so only the entry-by-entry check keeps the
+    # near-copies (and the pair equal to each other but not to column 0) apart
+    monkeypatch.setattr(ridge, "_column_hashes",
+                        lambda matrix, col_nnz: np.zeros((3, matrix.shape[1])))
+    X, y = near_copies()
+    merged, group, _ = ridge._merge_equal_columns(from_dense(X))
+    assert group.tolist() == [0, 0, 1, 2, 3, 4, 5, 6]
+    models = assert_path_matches_closed_form(X, y, [0.1, 1.0, 10.0], fit_intercept)
+    assert all(model.weights[0][0] == model.weights[0][1] for model in models)
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+def test_repeated_index_keeps_columns_apart(monkeypatch, fit_intercept):
+    # row 0 stores column 1 twice, so the products read 1.5 + 1.5 there: with
+    # colliding hashes, column 1 has column 0's nnz, and each of its entries
+    # has the row and value of one of column 0's, yet the columns differ
+    monkeypatch.setattr(ridge, "_column_hashes",
+                        lambda matrix, col_nnz: np.zeros((3, matrix.shape[1])))
+    matrix = CsrMatrix(data=np.array([1.5, 1.5, 1.5, 2.0]), indices=np.array([0, 1, 1, 0]),
+                       indptr=np.array([0, 3, 4, 4]), shape=(3, 2))
+    X = np.array([[1.5, 3.0], [2.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(matrix.matvec(np.array([1.0, 10.0])), X @ [1.0, 10.0])
+    assert ridge._merge_equal_columns(matrix)[0] is matrix
+    y = np.array([1.0, 4.0, 2.5])
+    models = train_path(matrix, labels_for(y), ["fat"], [0.1, 1.0],
+                        RidgeConfig(fit_intercept=fit_intercept, solver_tol=1e-12))
+    for alpha, model in zip([0.1, 1.0], models):
+        w = (closed_form_with_intercept(X, y, alpha)[0] if fit_intercept
+             else closed_form(X, y, alpha))
+        np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-9)
 
 
 def four_target_problem():
@@ -480,6 +595,19 @@ class TestModelSerialization:
         path = tmp_path / "model.bin"
         save_model(model, path)
         with pytest.raises(ValueError, match="not finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [("warnings", 5), ("warnings", ["ok", 3]),
+                                            ("vectorizer_fingerprint", 5),
+                                            ("vectorizer_fingerprint", ["sha256:abc"])])
+    def test_mistyped_warnings_or_fingerprint_rejected(self, tmp_path, key, value):
+        model = self.make_trained()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = json.loads(path.read_text())
+        raw[key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{path}: corrupted model file: {key}"):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):
