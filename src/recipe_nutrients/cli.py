@@ -1,18 +1,26 @@
 """Command-line pipeline: prepare, train, predict, llm tiers, evaluate, bench.
 
 Each subcommand reads and validates all inputs before writing any output, so
-usage errors never leave partial artifacts. Stage settings come from flags
-only, with argparse defaults (``--format jsonl``, ``--ratio 0.8``,
-``--seed 42``, ``--alpha 1.0``); ``--alpha`` and ``--alpha-grid`` exclude
-each other, and ``--val`` and ``--rules`` serve ``--alpha-grid`` only. The
-json config file holds only the named endpoint profiles (``endpoints``) used
-by the llm subcommands, and any other top-level key is an error. Train runs
-the paper's fixed configuration: the four scored nutrients, 8,000 word and
-12,000 char features, and a CG solve per nutrient (tol 1e-8, at most 1,000
-iterations), the four solves running side by side on the usable CPUs, and
-replaces the model and its vectorizer file together; with ``--alpha-grid`` it
-builds the validation rows only after the solve, once the training rows are
-dropped. The vectorizer file always sits next to the model, at
+usage errors never leave partial artifacts; predict, which reads its samples a
+block at a time, writes its output through one temporary file that a bad
+record removes. Stage settings come from flags only, with argparse defaults
+(``--format jsonl``, ``--ratio 0.8``, ``--seed 42``, ``--alpha 1.0``);
+``--alpha`` and ``--alpha-grid`` exclude each other, and ``--val`` and
+``--rules`` serve ``--alpha-grid`` only. The json config file holds only the
+named endpoint profiles (``endpoints``) used by the llm subcommands, and any
+other top-level key is an error. Train runs the paper's fixed configuration:
+the four scored nutrients, 8,000 word and 12,000 char features, and a CG solve
+per nutrient (tol 1e-8, at most 1,000 iterations), the four solves running
+side by side on the usable CPUs, and replaces the model and its vectorizer
+file together. Train hands the solver a builder of its design matrix, so no
+caller holds the matrix and the solver frees it once its distinct columns are
+merged; with ``--alpha-grid`` the
+validation rows are built only after the solve. Predict and the grid's scoring
+build and score ``SCORE_ROWS`` (256) rows at a time, and predict reads each
+block's samples only when it comes to them and writes the block's predictions
+as soon as they are scored, so its memory depends on a block, not on the file.
+Predict, llm-predict and refine refuse an input with no samples or predictions
+before writing anything. The vectorizer file always sits next to the model, at
 ``<model>.vocab.json``, where predict and bench read it, and they refuse it
 unless its fingerprint is the one the model records (a model without one
 matches no file); bench times each sample after 100 warm-up predictions.
@@ -29,8 +37,9 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import dataset, evaluate as ev, llm
 from .dataset import SCORED_NUTRIENTS
@@ -43,7 +52,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 
-# validation rows per block when a grid's models are scored
+# rows per block when predict or a grid's models score a file
 SCORE_ROWS = 256
 
 
@@ -53,7 +62,7 @@ def _load_config(path: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # not json, or nested too deep
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a json object")
@@ -92,6 +101,24 @@ def _nonempty_samples(path) -> list[dataset.RecipeSample]:
     if not samples:
         raise ValueError(f"{path}: no samples")
     return samples
+
+
+def _streamed_samples(path) -> Iterator[dataset.RecipeSample]:
+    """The samples of ``path`` as the file is read; it must hold at least one,
+    which is checked here, before the first is taken."""
+    samples = dataset.iter_samples(path)
+    first = next(samples, None)
+    if first is None:
+        raise ValueError(f"{path}: no samples")
+    return chain([first], samples)
+
+
+def _nonempty_predictions(path) -> dict[str, dataset.NutrientPrediction]:
+    """The predictions of ``path``, which must hold at least one."""
+    preds = ev.load_predictions(path)
+    if not preds:
+        raise ValueError(f"{path}: no predictions")
+    return preds
 
 
 # --- subcommands -------------------------------------------------------------
@@ -154,6 +181,21 @@ def _predictions(model: ridge.RidgeModel, matrix, samples: list[dataset.RecipeSa
     return {s.id: dataset.NutrientPrediction(*row) for s, row in zip(samples, rows)}
 
 
+def _scored_blocks(models: list[ridge.RidgeModel], samples: Iterable[dataset.RecipeSample],
+                   cv):
+    """Each model's predictions by id, for one block of ``SCORE_ROWS`` samples
+    after another: a block's samples are taken, and its rows built, scored and
+    dropped, before the next block's, so neither the whole matrix nor its
+    transform's peak is ever held. A row's prediction does not depend on its
+    block."""
+    from . import features
+
+    samples = iter(samples)
+    while block := list(islice(samples, SCORE_ROWS)):
+        matrix = features.transform_batch([s.ingredient_text for s in block], cv)
+        yield [_predictions(model, matrix, block) for model in models]
+
+
 def cmd_train(args, config: dict) -> int:
     if args.alpha_grid is not None:
         alphas = _parse_alpha_grid(args.alpha_grid)
@@ -180,22 +222,18 @@ def cmd_train(args, config: dict) -> int:
     print(f"fitting vectorizers on {len(texts)} documents ...")
     cv = features.fit_combined(texts)
     print(f"combined dim: {cv.dim} (word {len(cv.word)} + char {len(cv.char)})")
-    matrix = features.transform_batch(texts, cv)
     labels = [train_labels[s.id] for s in train_samples]
+    # train_path builds the training rows itself and drops them once their
+    # distinct columns are merged, so no frame here holds the unmerged matrix
+    # and it is freed before the solves, and before any validation row is built
+    models = ridge.train_path(lambda: features.transform_batch(texts, cv), labels,
+                              alphas=alphas, config=cfg)
 
     if args.alpha_grid is not None:
-        models = ridge.train_path(matrix, labels, alphas=alphas, config=cfg)
-        # the training rows go before the validation rows are built, so the
-        # two matrices never add up in the peak memory; the validation rows are
-        # built and predicted SCORE_ROWS at a time, so their matrix is never
-        # whole either (transform_batch holds twice its output while stacking)
-        del matrix
         val_preds: list[dict] = [{} for _ in models]
-        for start in range(0, len(val_samples), SCORE_ROWS):
-            block = val_samples[start:start + SCORE_ROWS]
-            block_matrix = features.transform_batch([s.ingredient_text for s in block], cv)
-            for preds, model in zip(val_preds, models):
-                preds.update(_predictions(model, block_matrix, block))
+        for block_preds in _scored_blocks(models, val_samples, cv):
+            for preds, block in zip(val_preds, block_preds):
+                preds.update(block)
 
         best = None
         # scored in the order given, so a tie goes to the first alpha
@@ -210,7 +248,7 @@ def cmd_train(args, config: dict) -> int:
         model = best[1]
         print(f"selected alpha={model.config.alpha:g}")
     else:
-        model = ridge.train(matrix, labels, config=cfg)
+        [model] = models
 
     for warning in model.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -247,19 +285,20 @@ def _load_model_and_vectorizer(model_path: str):
 
 
 def cmd_predict(args, config: dict) -> int:
-    from . import features
-
     model, cv = _load_model_and_vectorizer(args.model)
-    samples = dataset.load_samples(args.infile)
-    matrix = features.transform_batch([s.ingredient_text for s in samples], cv)
-    n = ev.save_predictions(args.out, _predictions(model, matrix, samples))
+    # the samples are read a block at a time, and each block's predictions go
+    # to the output file as soon as they are scored; a bad record met on the
+    # way removes the unfinished output (atomic_write)
+    samples = _streamed_samples(args.infile)
+    scored = (pair for [preds] in _scored_blocks([model], samples, cv) for pair in preds.items())
+    n = ev.save_predictions(args.out, scored)
     print(f"wrote {n} predictions to {args.out}")
     return EXIT_OK
 
 
 def cmd_llm_predict(args, config: dict) -> int:
     ep = _endpoint_from_config(config, args.endpoint, args.config)
-    samples = dataset.load_samples(args.infile)
+    samples = _nonempty_samples(args.infile)
     bank = llm.FewShotBank.from_file(args.shots) if args.shots else llm.FewShotBank.default()
     cache = llm.TranscriptCache(args.cache) if args.cache else None
 
@@ -274,7 +313,7 @@ def cmd_llm_predict(args, config: dict) -> int:
 
 def cmd_refine(args, config: dict) -> int:
     ep = _endpoint_from_config(config, args.endpoint, args.config)
-    preds = ev.load_predictions(args.pred)
+    preds = _nonempty_predictions(args.pred)
     samples = {s.id: s for s in dataset.load_samples(args.infile)}
     missing = set(preds) - set(samples)
     if missing:
@@ -309,9 +348,7 @@ def cmd_merge(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    preds = ev.load_predictions(args.pred)
-    if not preds:
-        raise ValueError(f"{args.pred}: no predictions")
+    preds = _nonempty_predictions(args.pred)
     samples = _nonempty_samples(args.labels)
     labels = _labeled_samples(samples, args.labels)
     rules = ev.load_rules(args.rules)

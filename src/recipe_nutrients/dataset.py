@@ -15,9 +15,9 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Sequence
+from typing import Any, ClassVar, Iterable, Iterator, Sequence
 
-from .util import dump_jsonl, format_decimal, load_jsonl
+from .util import dump_jsonl, format_decimal, iter_jsonl, load_jsonl
 
 NUTRIENT_NAMES = ("energy", "fat", "protein", "salt", "saturates", "sugars")
 SCORED_NUTRIENTS = ("fat", "protein", "saturates", "sugars")
@@ -307,9 +307,17 @@ def load_samples(path: str | Path) -> list[RecipeSample]:
 
     Ids must be unique within the file.
     """
-    samples = []
+    return list(_samples(load_jsonl(path), path))
+
+
+def iter_samples(path: str | Path) -> Iterator[RecipeSample]:
+    """:func:`load_samples`'s samples one at a time, the file read as they are taken."""
+    return _samples(iter_jsonl(path), path)
+
+
+def _samples(rows: Iterable[dict[str, Any]], path: str | Path) -> Iterator[RecipeSample]:
     seen_ids: set[str] = set()
-    for index, row in enumerate(load_jsonl(path)):
+    for index, row in enumerate(rows):
         try:
             text = row["ingredient_text"]
             if not isinstance(text, str):
@@ -321,5 +329,4 @@ def load_samples(path: str | Path) -> list[RecipeSample]:
         if sample.id in seen_ids:
             raise ValueError(f"{path}: record {index} has duplicate id {sample.id!r}")
         seen_ids.add(sample.id)
-        samples.append(sample)
-    return samples
+        yield sample

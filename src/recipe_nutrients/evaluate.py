@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dataset import SCORED_NUTRIENTS, NutrientPrediction, NutrientVector
 from .util import dump_jsonl, load_jsonl
@@ -88,7 +88,7 @@ def load_rules(path: str | Path | None = None) -> dict[str, ToleranceRule]:
                     for b in bands
                 ),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{source}: bad tolerance rules: {exc}") from exc
     return rules
 
@@ -215,10 +215,16 @@ def bench_latency(predict_fn: Callable, samples: Sequence, warmup: int = 0) -> L
     )
 
 
-def save_predictions(path: str | Path, preds: Mapping[str, NutrientPrediction]) -> int:
-    """Prediction interchange: json-lines of {id, fat, protein, saturates, sugars}."""
-    return dump_jsonl(path, ({"id": sample_id, **pred.to_dict()}
-                             for sample_id, pred in preds.items()))
+def save_predictions(path: str | Path,
+                     preds: Mapping[str, NutrientPrediction]
+                     | Iterable[tuple[str, NutrientPrediction]]) -> int:
+    """Prediction interchange: json-lines of {id, fat, protein, saturates, sugars}.
+
+    ``preds`` maps ids to predictions, or yields (id, prediction) pairs, each
+    written as it comes.
+    """
+    pairs = preds.items() if isinstance(preds, Mapping) else preds
+    return dump_jsonl(path, ({"id": sample_id, **pred.to_dict()} for sample_id, pred in pairs))
 
 
 def load_predictions(path: str | Path) -> dict[str, NutrientPrediction]:

@@ -23,8 +23,12 @@ int64 arrays, so a word is analysed once, for both vocabularies, for the
 documents it turns up in. Rows are built in blocks of at most
 ``_BLOCK_CHARS`` characters: a block's words are looked up in the table,
 their columns gathered in numpy, its bigrams matched from adjacent token ids,
-and its (row, column) occurrences counted, weighted and normalized in numpy;
-the blocks' rows are stacked into one CSR matrix.
+and its (row, column) occurrences counted, weighted and normalized in numpy.
+Each block's entries are appended to self-growing ``array`` buffers (data,
+column indices, row pointers) as soon as the block is built, and the matrix
+views those buffers; so no block's part is kept beside the result, and the
+peak stays near the output's own size (glibc grows a large buffer in place
+or by remapping its pages, without a second copy).
 """
 
 from __future__ import annotations
@@ -409,7 +413,7 @@ class CombinedVectorizer:
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported vectorizer format version {version!r}")
             cv = cls(word=Vocabulary.from_dict(raw["word"]), char=Vocabulary.from_dict(raw["char"]))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: bad vectorizer file: {exc}") from exc
         cv._file_bytes = file_bytes
         return cv
@@ -520,17 +524,26 @@ def _blocks(docs: Sequence[str]):
 
 def transform_batch(docs: Sequence[str], cv: CombinedVectorizer) -> CsrMatrix:
     """The n x cv.dim TF-IDF matrix of ``docs``: each row is the document's word
-    row followed by its char row (each normalized on its own). The rows are
-    built a block of documents at a time and stacked."""
-    parts = [cv._block_rows(block) for block in _blocks(docs)]
-    if len(parts) == 1:
-        return parts[0]
-    ends = np.cumsum([part.nnz for part in parts])
-    indptr = np.concatenate([[0]] + [part.indptr[1:] + (end - part.nnz)
-                                     for part, end in zip(parts, ends)])
-    return CsrMatrix(data=np.concatenate([part.data for part in parts]),
-                     indices=np.concatenate([part.indices for part in parts]),
-                     indptr=indptr, shape=(len(docs), cv.dim))
+    row followed by its char row (each normalized on its own).
+
+    The rows are built a block of documents at a time. Each block's entries
+    are appended to growing arrays and the block's part dropped, so the parts
+    never sit beside the whole matrix; the result's arrays are numpy views of
+    those arrays. A single block's rows are returned as built.
+    """
+    blocks = list(_blocks(docs))
+    if len(blocks) == 1:
+        return cv._block_rows(blocks[0])
+    data, indices, indptr = array("d"), array("q"), array("q", [0])
+    for block in blocks:
+        part = cv._block_rows(block)
+        # frombytes takes a buffer of bytes, so each array's is cast to one
+        indptr.frombytes((part.indptr[1:] + len(data)).data.cast("B"))
+        data.frombytes(part.data.data.cast("B"))
+        indices.frombytes(part.indices.data.cast("B"))
+    return CsrMatrix(data=np.frombuffer(data, dtype=np.float64),
+                     indices=np.frombuffer(indices, dtype=np.int64),
+                     indptr=np.frombuffer(indptr, dtype=np.int64), shape=(len(docs), cv.dim))
 
 
 def transform_combined(doc: str, cv: CombinedVectorizer) -> CsrMatrix:

@@ -231,7 +231,7 @@ def complete(req: ChatRequest, ep: EndpointConfig) -> str:
         try:
             body = response.json()
             content = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise EndpointError(
                 f"malformed completion body ({exc}): {response.text[:200]}") from exc
         if not isinstance(content, str):

@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -247,7 +247,7 @@ def _merge_equal_columns(matrix: CsrMatrix) -> tuple[CsrMatrix, np.ndarray, np.n
             group, root[group])
 
 
-def train_path(matrix: CsrMatrix,
+def train_path(matrix: CsrMatrix | Callable[[], CsrMatrix],
                labels: Sequence[NutrientVector],
                targets: Sequence[str] = SCORED_NUTRIENTS,
                alphas: Sequence[float] = (1.0,),
@@ -270,11 +270,22 @@ def train_path(matrix: CsrMatrix,
     models do not depend on which solve finishes first. If one solve raises,
     the solves not yet started are cancelled (``Executor.map`` does so as its
     results iterator unwinds), so only those running are waited for.
+
+    ``matrix`` is the design matrix or a function of no arguments that
+    builds it. Once its distinct columns are merged, this function releases
+    its reference to the unmerged matrix. Only a builder
+    (``train_path(lambda: transform_batch(...), ...)``) guarantees that no
+    caller holds that matrix beside the merged one during the solves: a
+    matrix passed directly is still referenced by the calling frame on
+    Python 3.10, and a caller that keeps its own reference also keeps the
+    matrix alive.
     """
     # imported here, as predict and bench load this module but start no pool
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
+    if callable(matrix):
+        matrix = matrix()
     n, d = matrix.shape
     if n != len(labels):
         raise ValueError(f"got {n} rows but {len(labels)} labels")
@@ -287,8 +298,10 @@ def train_path(matrix: CsrMatrix,
     base_alpha = min(c.alpha for c in configs)
     shifts = [c.alpha - base_alpha for c in configs]
     # the solve runs on the distinct columns; each column's weight is then
-    # its group's weight over sqrt(m)
+    # its group's weight over sqrt(m). The unmerged matrix is not needed
+    # again, so this frame lets go of it before the solves
     merged, group, scale = _merge_equal_columns(matrix)
+    del matrix
     mu = (merged.rmatvec(np.ones(n)) / n if config.fit_intercept
           else np.zeros(merged.shape[1], dtype=np.float64))
 
@@ -414,7 +427,7 @@ def load_model(path: str | Path) -> RidgeModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except ValueError as exc:  # not utf-8, or not json
+    except (ValueError, RecursionError) as exc:  # not utf-8, not json, or nested too deep
         raise ValueError(f"{path}: corrupted model file: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != MODEL_FORMAT_VERSION:

@@ -26,8 +26,13 @@ def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
 
     Raises ValueError naming the offending line on malformed json.
     """
+    return list(iter_jsonl(path))
+
+
+def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """:func:`load_jsonl`'s rows one at a time, each line read as its row is taken."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path)
+        yield from _json_rows(fh, path)
 
 
 def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]]:
@@ -36,7 +41,11 @@ def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]
     Raises ValueError naming ``source`` and the offending line on malformed
     json, or naming ``source`` alone where ``lines`` meet bytes that are not utf-8.
     """
-    rows: list[dict[str, Any]] = []
+    return list(_json_rows(lines, source))
+
+
+def _json_rows(lines: Iterable[str], source: str | Path) -> Iterator[dict[str, Any]]:
+    """The rows of json-lines text, as :func:`parse_jsonl` describes."""
     try:
         for lineno, line in enumerate(lines):
             line = line.strip()
@@ -44,14 +53,13 @@ def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not json, or nested too deep
                 raise ValueError(f"{source}: invalid json on line {lineno + 1}: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{source}: line {lineno + 1} is not a json object")
-            rows.append(obj)
+            yield obj
     except UnicodeDecodeError as exc:
         raise ValueError(f"{source}: not utf-8 text: {exc}") from None
-    return rows
 
 
 _held: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("_held", default=None)

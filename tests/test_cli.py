@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from conftest import Scripted, ScriptedServer, completion_body, make_raw_rows, w
 
 from recipe_nutrients import cli, features, ridge
 from recipe_nutrients.evaluate import load_predictions
-from recipe_nutrients.dataset import SCORED_NUTRIENTS, load_samples, save_samples
+from recipe_nutrients.dataset import SCORED_NUTRIENTS, RecipeSample, load_samples, save_samples
 from recipe_nutrients.features import CombinedVectorizer, transform_batch
 from recipe_nutrients.util import atomic_write
 
@@ -554,6 +555,25 @@ class TestLlmCommands:
         assert not out.exists()
         assert endpoint_stub.requests == []
 
+    @pytest.mark.parametrize("command", ["predict", "llm-predict", "refine"])
+    def test_empty_input_refused_before_writing(self, trained_pipeline, endpoint_stub,
+                                                tmp_path, capsys, command):
+        config = stub_config(tmp_path, endpoint_stub)
+        subset, preds, _ = refine_inputs(trained_pipeline, tmp_path, 2)
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
+        empty.write_text("\n")
+        argv = {"predict": ["predict", "--model", str(trained_pipeline["model"]),
+                            "--in", str(empty)],
+                "llm-predict": ["--config", config, "llm-predict", "--endpoint", "local",
+                                "--in", str(empty)],
+                "refine": ["--config", config, "refine", "--endpoint", "local",
+                           "--pred", str(empty), "--in", str(subset)]}[command]
+        assert run(*argv, "--out", str(out)) == 1
+        message = "no predictions" if command == "refine" else "no samples"
+        assert f"error: {empty}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert endpoint_stub.requests == []
+
     @pytest.mark.parametrize("command", ["predict", "bench", "llm-predict", "refine"])
     @pytest.mark.parametrize("text", [5, None])
     def test_ingredient_text_not_string_names_file(self, trained_pipeline, endpoint_stub,
@@ -751,6 +771,126 @@ class TestMergeCommand:
                    "--ids", str(ids_path), "--out", str(out_path)) == 1
         assert f"error: {ids_path}: not utf-8 text: " in capsys.readouterr().err
         assert not out_path.exists()
+
+
+class TestPredictStreams:
+    @pytest.mark.parametrize("rows", [1, 3, cli.SCORE_ROWS])
+    def test_output_same_at_any_block_size(self, trained_pipeline, tmp_path, capsys,
+                                           monkeypatch, rows):
+        model_path = trained_pipeline["model"]
+        cv = CombinedVectorizer.load(f"{model_path}.vocab.json")
+        model = ridge.load_model(model_path)
+        samples = load_samples(trained_pipeline["val"])[:7]
+        long_text = " ".join(s.ingredient_text for s in load_samples(trained_pipeline["train"]))
+        assert len(long_text) > features._BLOCK_CHARS
+        assert transform_batch(["qx zzq"], cv).nnz == 0
+        samples[2:2] = [RecipeSample(id="none", ingredient_text="qx zzq", labels=None),
+                        RecipeSample(id="long", ingredient_text=long_text, labels=None)]
+        # the reference scores every row in one batch
+        batch = ridge.predict_batch(model, transform_batch([s.ingredient_text for s in samples],
+                                                           cv))
+        expected = "".join(json.dumps({"id": s.id, **{n: float(row[model.targets.index(n)])
+                                                       for n in SCORED_NUTRIENTS}}) + "\n"
+                           for s, row in zip(samples, batch))
+        infile, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        save_samples(infile, samples)
+        monkeypatch.setattr(cli, "SCORE_ROWS", rows)
+        assert run("predict", "--model", str(model_path), "--in", str(infile),
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == expected
+
+    def test_peak_does_not_grow_with_the_file(self, trained_pipeline, tmp_path, capsys):
+        # long recipes, so a row's matrix entries far outweigh its text, and
+        # more of them than one block holds, so both files fill whole blocks
+        model_path = trained_pipeline["model"]
+        texts = [" ".join(s.ingredient_text for s in group) for group in
+                 zip(*[iter(load_samples(trained_pipeline["train"]))] * 5)]
+        assert len(texts) > cli.SCORE_ROWS
+        peaks, inputs = [], []
+        for copies in (1, 10):
+            infile = tmp_path / f"in{copies}.jsonl"
+            save_samples(infile, [RecipeSample(id=f"{k}-{i}", ingredient_text=text, labels=None)
+                                  for k in range(copies) for i, text in enumerate(texts)])
+            inputs.append(infile)
+        argv = ["predict", "--model", str(model_path), "--out", str(tmp_path / "p.jsonl")]
+        assert run(*argv, "--in", str(inputs[0])) == 0
+        for infile in inputs:
+            tracemalloc.start()
+            try:
+                assert run(*argv, "--in", str(infile)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        # stacking the whole file's rows from their blocks' parts, as one batch
+        # does, grows by at least twice the added rows' matrix
+        cv = CombinedVectorizer.load(f"{model_path}.vocab.json")
+        matrix = transform_batch(texts, cv)
+        stacked = 2 * 9 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
+        assert peaks[1] - peaks[0] < stacked / 4
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeeplyNestedInput:
+    @pytest.mark.parametrize("role", ["train", "labels", "pred", "model", "vocab", "rules",
+                                      "config", "shots", "cache"])
+    def test_refused_naming_file(self, trained_pipeline, endpoint_stub, tmp_path, capsys,
+                                 role):
+        out, preds = tmp_path / "out.jsonl", tmp_path / "preds.jsonl"
+        val, model = str(trained_pipeline["val"]), tmp_path / "model.bin"
+        shutil.copyfile(trained_pipeline["model"], model)
+        shutil.copyfile(f"{trained_pipeline['model']}.vocab.json", f"{model}.vocab.json")
+        assert run("predict", "--model", str(model), "--in", val, "--out", str(preds)) == 0
+        capsys.readouterr()
+        config = stub_config(tmp_path, endpoint_stub)
+        llm_predict = ["--config", config, "llm-predict", "--endpoint", "local", "--in", val,
+                       "--out", str(out)]
+        evaluate = ["evaluate", "--pred", str(preds), "--labels", val, "--json-out", str(out)]
+        bad = {"model": model, "vocab": Path(f"{model}.vocab.json")}.get(role,
+                                                                        tmp_path / "bad.json")
+        # in a json-lines file the deep line is line 2
+        lines = role in ("train", "labels", "pred", "shots", "cache")
+        bad.write_text(f"{{}}\n{DEEP_JSON}\n" if lines else DEEP_JSON)
+        argv = {
+            "train": ["train", "--train", str(bad), "--out", str(out)],
+            "labels": ["evaluate", "--pred", str(preds), "--labels", str(bad)],
+            "pred": ["evaluate", "--pred", str(bad), "--labels", val],
+            "model": ["predict", "--model", str(model), "--in", val, "--out", str(out)],
+            "vocab": ["predict", "--model", str(model), "--in", val, "--out", str(out)],
+            "rules": [*evaluate, "--rules", str(bad)],
+            "config": ["--config", str(bad), *evaluate],
+            "shots": [*llm_predict, "--shots", str(bad)],
+            "cache": [*llm_predict, "--cache", str(bad)],
+        }[role]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "recursion" in err
+        if lines:
+            assert "line 2" in err
+        assert not out.exists()
+        assert endpoint_stub.requests == []
+
+    def test_deep_unterminated_last_transcript_line_is_torn(self, trained_pipeline,
+                                                            endpoint_stub, tmp_path, capsys,
+                                                            caplog):
+        config = stub_config(tmp_path, endpoint_stub)
+        subset, _, _ = refine_inputs(trained_pipeline, tmp_path, 2)
+        cache, out = tmp_path / "transcript.jsonl", tmp_path / "out.jsonl"
+        cache.write_text(json.dumps({"id": "x", "request_hash": "h", "response": "r"}) + "\n"
+                         + "[" * 100_000)
+        endpoint_stub.reply_with(
+            "Nutrient values per 100 g: fat - 4.00, protein - 3.00, saturates - 2.00, sugars - 1.00")
+        with caplog.at_level(logging.WARNING, logger="recipe_nutrients.llm"):
+            assert run("--config", config, "llm-predict", "--endpoint", "local",
+                       "--in", str(subset), "--out", str(out), "--cache", str(cache)) == 0
+        capsys.readouterr()
+        assert "torn last line (100000 bytes)" in caplog.text
+        assert len(load_predictions(out)) == 2
+        assert len(cache.read_text().splitlines()) == 3
 
 
 class TestConfigFile:

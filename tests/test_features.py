@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import PANTRY, QUANTITIES, UNIT_GRAMS
 from hypothesis import example, given, settings, strategies as st
 
 from recipe_nutrients import features
@@ -16,6 +18,7 @@ from recipe_nutrients.features import (
     VectorizerConfig,
     char_config,
     fit,
+    fit_combined,
     tokenize_words,
     transform_batch,
     transform_combined,
@@ -337,6 +340,26 @@ def test_rows_same_with_cold_and_warm_table(docs):
     transform_batch(docs[::-1], warm)
     cold = CombinedVectorizer(warm.word, warm.char)
     assert_same_rows(transform_batch(docs, warm), [transform_combined(d, cold) for d in docs])
+
+
+def test_batch_peak_stays_near_its_output():
+    # 1,000 recipes of 20 lines make ~38 blocks; the word table is filled by
+    # a first pass, so the traced pass allocates rows only
+    rng = random.Random(3)
+    names, units = sorted(PANTRY), sorted(UNIT_GRAMS)
+    docs = [", ".join(f"{rng.choice(QUANTITIES)} {rng.choice(units)} {rng.choice(names)}"
+                      for _ in range(20)) for _ in range(1000)]
+    cv = fit_combined(docs)
+    transform_batch(docs, cv)
+    assert len(list(features._blocks(docs))) > 30
+    tracemalloc.start()
+    try:
+        matrix = transform_batch(docs, cv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak <= 1.4 * output
 
 
 def assert_fit_matches_reference(corpus, config):

@@ -206,6 +206,12 @@ class TestComplete:
         with pytest.raises(EndpointError, match="malformed"):
             complete(req, endpoint(endpoint_stub))
 
+    def test_deeply_nested_body_is_endpoint_error(self, endpoint_stub):
+        endpoint_stub.default = Scripted(200, b"[" * 100_000 + b"]" * 100_000)
+        req = ChatRequest(system="s", messages=({"role": "user", "content": "u"},))
+        with pytest.raises(EndpointError, match="malformed completion body .*recursion"):
+            complete(req, endpoint(endpoint_stub))
+
     def test_body_cut_short_retries(self, endpoint_stub):
         # the body ends 94 bytes before its Content-Length, then the connection closes
         endpoint_stub.script(Scripted(200, b'{"cho', content_length=100),

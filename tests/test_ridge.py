@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent import futures
 
 import numpy as np
@@ -344,6 +345,31 @@ def test_repeated_index_keeps_columns_apart(monkeypatch, fit_intercept):
         w = (closed_form_with_intercept(X, y, alpha)[0] if fit_intercept
              else closed_form(X, y, alpha))
         np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-9)
+
+
+def test_unmerged_matrix_released_before_the_solves(monkeypatch):
+    # columns 0 and 1 are equal, so the solves run on a merged copy; the
+    # matrix is passed as a builder, as train passes it, so no caller frame
+    # holds it on any Python version
+    X, y = near_copies()
+    refs = []
+
+    def design():
+        matrix = from_dense(X)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    alive = []
+    solve = ridge._multishift_cg
+
+    def spy(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ridge, "_multishift_cg", spy)
+    [model] = train_path(design, labels_for(y), ["fat"])
+    assert alive == [False]
+    assert model.weights[0][0] == model.weights[0][1]
 
 
 def four_target_problem():
