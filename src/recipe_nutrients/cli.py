@@ -176,8 +176,7 @@ def _predictions(model: ridge.RidgeModel, matrix, samples: list[dataset.RecipeSa
     """The scored nutrients of each sample, by id, from one batched prediction."""
     from . import ridge
 
-    columns = [model.targets.index(n) for n in dataset.NutrientPrediction.KEYS]
-    rows = ridge.predict_batch(model, matrix)[:, columns].tolist()
+    rows = ridge.predict_batch(model, matrix)[:, ridge.scored_rows(model)].tolist()
     return {s.id: dataset.NutrientPrediction(*row) for s, row in zip(samples, rows)}
 
 

@@ -183,11 +183,19 @@ class LatencyStats:
     mean: float
     median: float
     p95: float
+    p99: float
     wall_clock_total: float
 
     def format_line(self) -> str:
         return (f"n={self.n}  mean={self.mean * 1e3:.3f} ms  median={self.median * 1e3:.3f} ms  "
-                f"p95={self.p95 * 1e3:.3f} ms  total={self.wall_clock_total:.3f} s")
+                f"p95={self.p95 * 1e3:.3f} ms  p99={self.p99 * 1e3:.3f} ms  "
+                f"total={self.wall_clock_total:.3f} s")
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ascending ``ordered``: the smallest value
+    with a share ``q`` of the values at or below it."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def bench_latency(predict_fn: Callable, samples: Sequence, warmup: int = 0) -> LatencyStats:
@@ -204,13 +212,12 @@ def bench_latency(predict_fn: Callable, samples: Sequence, warmup: int = 0) -> L
         durations.append(time.perf_counter() - start)
     wall_total = time.perf_counter() - wall_start
     ordered = sorted(durations)
-    rank = math.ceil(0.95 * len(ordered))  # nearest-rank percentile
-    p95 = ordered[max(0, rank - 1)]
     return LatencyStats(
         n=len(durations),
         mean=statistics.fmean(durations),
         median=statistics.median(durations),
-        p95=p95,
+        p95=_percentile(ordered, 0.95),
+        p99=_percentile(ordered, 0.99),
         wall_clock_total=wall_total,
     )
 

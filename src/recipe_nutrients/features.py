@@ -27,8 +27,9 @@ and its (row, column) occurrences counted, weighted and normalized in numpy.
 Each block's entries are appended to self-growing ``array`` buffers (data,
 column indices, row pointers) as soon as the block is built, and the matrix
 views those buffers; so no block's part is kept beside the result, and the
-peak stays near the output's own size (glibc grows a large buffer in place
-or by remapping its pages, without a second copy).
+peak stays near the output's own size. Growing a buffer is not free: the
+three grow interleaved, so each reallocation of one may find no room after
+it and copy it whole.
 """
 
 from __future__ import annotations
@@ -287,34 +288,6 @@ def fit(corpus: list[str], config: VectorizerConfig) -> Vocabulary:
     return Vocabulary(term_to_index=term_to_index, idf=idf, n_docs=n_docs, config=config)
 
 
-def _tfidf_rows(keys: np.ndarray, n_rows: int, vocabs: Sequence[Vocabulary]) -> CsrMatrix:
-    """The TF-IDF rows of term occurrences given as ``row * width + column``,
-    with the vocabularies' columns side by side in a row of ``width`` columns.
-
-    A term's tf is its number of occurrences in the row. Each (row, vocabulary)
-    part is L2-normalized on its own, summing its squares in column order, so
-    a row comes out the same in any batch. Sorts ``keys`` in place.
-    """
-    ends = np.cumsum([len(vocab) for vocab in vocabs])
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    tf = np.diff(starts, append=len(keys)).astype(np.float64)
-    rows, columns = np.divmod(keys[starts], ends[-1])
-    part = np.searchsorted(ends, columns, side="right")  # each column's vocabulary
-    sublinear = np.array([vocab.config.sublinear_tf for vocab in vocabs])
-    weights = np.where(sublinear[part], 1.0 + np.log(tf), tf)
-    weights *= np.concatenate([vocab.idf for vocab in vocabs])[columns]
-    group = rows * len(vocabs) + part
-    norms = np.sqrt(np.bincount(group, weights=weights * weights,
-                                minlength=n_rows * len(vocabs)))
-    weights /= norms[group]
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return CsrMatrix(data=weights, indices=columns, indptr=indptr, shape=(n_rows, int(ends[-1])))
-
-
 class _WordTable:
     """Whitespace-separated words -> entries in flat int64 arrays.
 
@@ -333,10 +306,9 @@ class _WordTable:
         self.token_ptr = array("q", [0])
 
 
-def _runs(values: array, ptr: array, entries: np.ndarray,
-          base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _runs(values: array, ptr: array, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The runs ``values[ptr[e]:ptr[e + 1]]`` of ``entries`` end to end, and
-    each entry's ``base`` repeated along its run."""
+    each run's length."""
     # an array cannot grow while a numpy view of it is alive (BufferError), so
     # the views are only indexed here, and no view outlives the call
     ptr_view = np.frombuffer(ptr, dtype=np.int64)
@@ -344,7 +316,7 @@ def _runs(values: array, ptr: array, entries: np.ndarray,
     lengths = ptr_view[entries + 1] - starts
     offsets = (starts - lengths.cumsum() + lengths).repeat(lengths)
     offsets += np.arange(len(offsets))
-    return np.frombuffer(values, dtype=np.int64)[offsets], base.repeat(lengths)
+    return np.frombuffer(values, dtype=np.int64)[offsets], lengths
 
 
 @dataclass
@@ -371,8 +343,11 @@ class CombinedVectorizer:
     strings, dict slots, entry numbers and arrays take ~9.1 bytes per unit
     of charge (measured with one-character words, the costliest per unit),
     so ~9 MiB at the cap. A new or loaded vectorizer starts with an empty
-    table; the table takes no part in equality or the fingerprint. Building
-    rows updates the table, so a vectorizer serves one thread at a time.
+    table; the table takes no part in equality or the fingerprint, nor do
+    the bigram keys and the weighting (each column's idf, each vocabulary's
+    tf scaling), which are worked out from the vocabularies once, on first
+    use. Building rows updates the table, so a vectorizer serves one thread
+    at a time.
     """
     word: Vocabulary
     char: Vocabulary
@@ -445,6 +420,13 @@ class CombinedVectorizer:
         order = keys.argsort()
         return ids, keys[order], columns[order]
 
+    @cached_property
+    def _weighting(self) -> tuple[np.ndarray, bool, bool]:
+        """Each column's idf, the word vocabulary's columns first, and the
+        word and char vocabularies' ``sublinear_tf``."""
+        return (np.concatenate((self.word.idf, self.char.idf)),
+                self.word.config.sublinear_tf, self.char.config.sublinear_tf)
+
     def _add(self, table: _WordTable, words: list[str]) -> None:
         """Append an entry for each of ``words`` (distinct, and none of them in
         ``table``) to ``table``, and add the entries to its charge."""
@@ -482,24 +464,66 @@ class CombinedVectorizer:
                 self._table = _WordTable()
         return table, np.array(found, dtype=np.int64)
 
+    def _tfidf_rows(self, keys: np.ndarray, n_rows: int) -> CsrMatrix:
+        """The TF-IDF rows of term occurrences given as ``row * self.dim + column``.
+
+        A term's tf is its number of occurrences in the row. Each (row,
+        vocabulary) part is L2-normalized on its own, summing its squares in
+        column order, so a row comes out the same in any batch. Sorts ``keys``
+        in place.
+        """
+        idf, word_sublinear, char_sublinear = self._weighting
+        keys.sort()
+        # bounds holds where each distinct key's run starts, then len(keys)
+        first = np.empty(len(keys) + 1, dtype=bool)
+        first[0] = first[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+        bounds = np.flatnonzero(first)
+        starts = bounds[:-1]
+        tf = (bounds[1:] - starts).astype(np.float64)
+        rows, columns = np.divmod(keys[starts], len(idf))
+        char = columns >= len(self.word)  # each column's vocabulary
+        log_tf = 1.0 + np.log(tf)
+        weights = np.where(char, log_tf if char_sublinear else tf,
+                           log_tf if word_sublinear else tf)
+        weights *= idf[columns]
+        group = rows * 2 + char
+        norms = np.sqrt(np.bincount(group, weights=weights * weights, minlength=n_rows * 2))
+        weights /= norms[group]
+        # rows ascend, so each row's first entry is where it sorts in
+        indptr = rows.searchsorted(np.arange(n_rows + 1))
+        return CsrMatrix(data=weights, indices=columns, indptr=indptr, shape=(n_rows, len(idf)))
+
     def _block_rows(self, docs: list[str]) -> CsrMatrix:
-        """The rows of one block of documents (see :func:`transform_batch`)."""
+        """The rows of one block of documents (see :func:`transform_batch`).
+
+        An occurrence's key is its column plus its row's base, ``row *
+        self.dim``; a one-document block's bases are all 0 and are not built.
+        """
         words = list(map(str.split, docs))
-        n_words = np.fromiter(map(len, words), dtype=np.int64, count=len(docs))
         table, entries = self._entries(list(chain.from_iterable(words)))
-        # each word's row as the key of the row's column 0
-        bases = (np.arange(len(docs), dtype=np.int64) * self.dim).repeat(n_words)
-        columns, keys = _runs(table.columns, table.column_ptr, entries, bases)
-        keys += columns
+        keys, column_lengths = _runs(table.columns, table.column_ptr, entries)
+        several = len(docs) > 1
+        if several:
+            n_words = np.fromiter(map(len, words), dtype=np.int64, count=len(docs))
+            bases = (np.arange(len(docs), dtype=np.int64) * self.dim).repeat(n_words)
+            keys += bases.repeat(column_lengths)
         if self._bigrams is not None:
             token_ids, bigram_keys, bigram_columns = self._bigrams
-            tokens, token_bases = _runs(table.tokens, table.token_ptr, entries, bases)
-            same_row = token_bases[1:] == token_bases[:-1]
-            pairs = tokens[:-1][same_row] * (len(token_ids) + 1) + tokens[1:][same_row]
+            tokens, token_lengths = _runs(table.tokens, table.token_ptr, entries)
+            pairs = tokens[:-1] * (len(token_ids) + 1) + tokens[1:]
             at = np.minimum(bigram_keys.searchsorted(pairs), len(bigram_keys) - 1)
             hit = bigram_keys[at] == pairs
-            keys = np.concatenate((keys, token_bases[:-1][same_row][hit] + bigram_columns[at[hit]]))
-        return _tfidf_rows(keys, len(docs), (self.word, self.char))
+            if several:
+                # a pair across two rows is no bigram, and the others take
+                # their row's base
+                token_bases = bases.repeat(token_lengths)
+                hit &= token_bases[1:] == token_bases[:-1]
+                found = bigram_columns[at[hit]] + token_bases[:-1][hit]
+            else:
+                found = bigram_columns[at[hit]]
+            keys = np.concatenate((keys, found))
+        return self._tfidf_rows(keys, len(docs))
 
 
 def fit_combined(corpus: list[str]) -> CombinedVectorizer:
@@ -529,7 +553,8 @@ def transform_batch(docs: Sequence[str], cv: CombinedVectorizer) -> CsrMatrix:
     The rows are built a block of documents at a time. Each block's entries
     are appended to growing arrays and the block's part dropped, so the parts
     never sit beside the whole matrix; the result's arrays are numpy views of
-    those arrays. A single block's rows are returned as built.
+    those arrays. The arrays grow side by side, so a reallocation may copy
+    the one it grows. A single block's rows are returned as built.
     """
     blocks = list(_blocks(docs))
     if len(blocks) == 1:

@@ -370,17 +370,24 @@ def train(matrix: CsrMatrix,
     return train_path(matrix, labels, targets, [config.alpha], config)[0]
 
 
+def scored_rows(model: RidgeModel) -> list[int]:
+    """The rows of ``model``'s targets that hold the scored nutrients, in
+    ``SCORED_NUTRIENTS`` order."""
+    missing = [name for name in SCORED_NUTRIENTS if name not in model.targets]
+    if missing:
+        raise KeyError(f"model lacks scored target {missing[0]!r}; targets: {model.targets}")
+    return list(map(model.targets.index, SCORED_NUTRIENTS))
+
+
 def predict(model: RidgeModel, x: CsrMatrix) -> NutrientPrediction:
     """The scored nutrients for a one-row matrix, dot(w, x) + intercept clamped at
     zero from below."""
     if x.shape != (1, model.feature_dim):
         raise ValueError(f"expected one row of dim {model.feature_dim}, got shape {x.shape}")
-    raw = model.weights[:, x.indices] @ x.data + model.intercepts
-    values = dict(zip(model.targets, raw.tolist()))
-    try:
-        return NutrientPrediction(**{name: max(0.0, values[name]) for name in SCORED_NUTRIENTS})
-    except KeyError as exc:
-        raise KeyError(f"model lacks scored target {exc}; targets: {model.targets}") from exc
+    # take gathers the row's columns of every target without indexing's
+    # general path; the rows of the scored targets are chosen from the result
+    raw = (np.take(model.weights, x.indices, axis=1) @ x.data + model.intercepts).tolist()
+    return NutrientPrediction(*[max(0.0, raw[row]) for row in scored_rows(model)])
 
 
 def predict_batch(model: RidgeModel, matrix: CsrMatrix) -> np.ndarray:

@@ -445,7 +445,7 @@ class TestBench:
         assert run("bench", "--model", str(trained_pipeline["model"]),
                    "--in", str(trained_pipeline["val"])) == 0
         output = capsys.readouterr().out
-        assert "mean=" in output and "p95=" in output
+        assert "mean=" in output and "p95=" in output and "p99=" in output
 
 
 class TestLlmCommands:

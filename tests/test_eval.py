@@ -201,13 +201,13 @@ class TestBenchLatency:
     def test_constant_stub(self):
         stats = bench_latency(lambda s: time.sleep(0.001), [0] * 30, warmup=3)
         assert 0.0005 < stats.mean < 0.02
-        assert stats.median <= stats.p95
+        assert stats.median <= stats.p95 <= stats.p99
         assert stats.wall_clock_total >= stats.mean * stats.n * 0.5
 
     def test_single_sample(self):
         stats = bench_latency(lambda s: None, [1], warmup=0)
         assert stats.n == 1
-        assert stats.mean == stats.median == stats.p95
+        assert stats.mean == stats.median == stats.p95 == stats.p99
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -448,6 +448,15 @@ BIGRAM_WORD_VOCABS += [replace(BIGRAM_WORD_VOCABS[0], config=word_config(min_df=
 BIGRAM_CVS = [CombinedVectorizer(word=word, char=fit(BIGRAM_CORPUS, char_config(min_df=1)))
               for word in BIGRAM_WORD_VOCABS]
 BIGRAM_CV = BIGRAM_CVS[0]
+# the paper pairs log-tf words with linear-tf char grams, as BIGRAM_CV does;
+# these pair them the other three ways, so a row that scaled either
+# vocabulary's tf by the paper's rule fails
+TF_SCALING_CVS = [CombinedVectorizer(word=fit(BIGRAM_CORPUS, word_config(min_df=1, sublinear_tf=w)),
+                                     char=fit(BIGRAM_CORPUS, char_config(min_df=1, sublinear_tf=c)))
+                  for w, c in ((False, False), (False, True), (True, True))]
+BIGRAM_CVS += TF_SCALING_CVS
+# repeated word unigrams, bigrams and char grams
+TF_DOCS = ["olive oil oil", "cream of tartar\tcream of tartar", "milk"]
 BIGRAM_WORDS = ["1/2", "-", "of", "and", "the", "low-fat", "(tamari)", "Oil,", "oil", "OIL",
                 "olive", "Olive", "soy", "sauce", "cream", "tartar", "cup", "corn", "raw",
                 "milk", "qx"]
@@ -469,6 +478,9 @@ def test_bigram_vocabulary_spans_stopwords_and_tokenless_words():
        st.sampled_from([1, 64, 400, features._TABLE_CAP]))
 @example(["cream of\ttartar 1/2 cup", "", "Oil, - corn\u00a0olive OIL"], BIGRAM_CV, 1, False, 64)
 @example(["low-fat milk the OIL", "qx", "soy sauce (tamari)"], BIGRAM_CVS[2], 60, True, 1)
+@example(TF_DOCS, TF_SCALING_CVS[0], 60, False, features._TABLE_CAP)
+@example(TF_DOCS, TF_SCALING_CVS[1], 1, True, 64)
+@example(TF_DOCS, TF_SCALING_CVS[2], 60, False, 1)
 def test_table_rows_match_dense_reference_and_single_rows(docs, fitted, block_chars, warm, cap):
     cv = CombinedVectorizer(fitted.word, fitted.char)
     with patch.object(features, "_TABLE_CAP", cap):
@@ -572,7 +584,7 @@ class TestWordTable:
         assert cv._table.entries and not loaded._table.entries and not cold._table.entries
         assert cv == cold
         assert cv.fingerprint() == loaded.fingerprint() == fingerprint
-        assert "_table" not in repr(cv) and "_bigrams" not in repr(cv)
+        assert all(name not in repr(cv) for name in ("_table", "_bigrams", "_weighting"))
 
     def test_modes_must_pair_word_and_char(self):
         cv = PROPERTY_CV

@@ -7,13 +7,14 @@ import threading
 import time
 import weakref
 from concurrent import futures
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from recipe_nutrients import ridge
+from recipe_nutrients import cli, ridge
 from recipe_nutrients.dataset import NutrientVector
 from recipe_nutrients.kernels import CsrMatrix, from_dense
 from recipe_nutrients.ridge import (
@@ -544,6 +545,30 @@ class TestPredict:
             single = predict(model, from_dense(X[i:i + 1]))
             assert batch[i][0] == pytest.approx(single.fat, abs=1e-12)
             assert batch[i][3] == pytest.approx(single.sugars, abs=1e-12)
+
+    def test_scored_targets_chosen_from_permuted_targets(self):
+        # quarters and halves, so every sum is exact in any order and the
+        # single-row and batched predictions can be compared bit for bit
+        rng = np.random.default_rng(9)
+        targets = ["sugars", "energy", "fat", "salt", "saturates", "protein"]
+        X = rng.integers(-2, 3, size=(8, 5)) / 2 * (rng.random((8, 5)) < 0.6)
+        X[3] = 0.0
+        model = RidgeModel(targets=targets, weights=rng.integers(-4, 5, size=(6, 5)) / 4,
+                           intercepts=np.arange(6) / 4, feature_dim=5, config=RidgeConfig())
+        samples = [SimpleNamespace(id=f"s{i}") for i in range(len(X))]
+        batch = cli._predictions(model, from_dense(X), samples)
+        for i, sample in enumerate(samples):
+            single = predict(model, from_dense(X[i:i + 1]))
+            assert single == batch[sample.id]
+            raw = dict(zip(targets, X[i] @ model.weights.T + model.intercepts))
+            assert single.to_dict() == {n: max(0.0, raw[n]) for n in NutrientPrediction.KEYS}
+
+    def test_missing_scored_target_raises_naming_targets(self):
+        model = self.make_model(np.zeros((4, 3)), [0, 0, 0, 0])
+        model.targets = ["fat", "protein", "energy", "sugars"]
+        with pytest.raises(KeyError, match=r"lacks scored target 'saturates'; "
+                                           r"targets: \['fat', 'protein', 'energy', 'sugars'\]"):
+            predict(model, sparse_unit(0, 3))
 
     def test_prediction_validates(self):
         with pytest.raises(ValueError):
