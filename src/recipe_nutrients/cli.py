@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import dataset, evaluate as ev, llm
 from .dataset import SCORED_NUTRIENTS
-from .util import atomic_write, replace_together
+from .util import atomic_write, checked, read_json, replace_together
 
 if TYPE_CHECKING:
     from . import ridge
@@ -59,11 +59,7 @@ SCORE_ROWS = 256
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not json, or nested too deep
-            raise ValueError(f"{path}: {exc}") from None
+    config, _ = read_json(path, "bad config")
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a json object")
     unknown = [key for key in config if key != "endpoints"]
@@ -80,10 +76,8 @@ def _endpoint_from_config(config: dict, profile: str, path: str | None) -> llm.E
     if profile not in profiles:
         known = ", ".join(sorted(profiles)) or "none defined"
         raise ValueError(f"endpoint profile {profile!r} not found in config (profiles: {known})")
-    try:
+    with checked(path, f"endpoint profile {profile!r}"):
         return llm.EndpointConfig(**profiles[profile])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: endpoint profile {profile!r}: {exc}") from None
 
 
 def _labeled_samples(samples: list[dataset.RecipeSample], path) -> dict[str, dataset.NutrientVector]:
@@ -121,17 +115,25 @@ def _nonempty_predictions(path) -> dict[str, dataset.NutrientPrediction]:
     return preds
 
 
+def _scoring_rules(path: str | None) -> dict[str, ev.ToleranceRule]:
+    """The tolerance rules of ``path``, which must cover every scored nutrient."""
+    rules = ev.load_rules(path)
+    if not set(SCORED_NUTRIENTS) <= set(rules):
+        raise ValueError(f"{path}: tolerance rules must cover {', '.join(SCORED_NUTRIENTS)}")
+    return rules
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_prepare(args, config: dict) -> int:
     raw = dataset.load_raw(args.infile, format=args.format)
+    if not raw:
+        raise ValueError(f"{args.infile}: no records")
     samples = []
     quality_flags = 0
     for index, row in enumerate(raw):
-        try:
+        with checked(args.infile, f"record {index} (id {row.id!r})"):
             labels = dataset.parse_answer(row.answer) if row.answer else None
-        except dataset.ParseError as exc:
-            raise ValueError(f"{args.infile}: record {index} (id {row.id!r}): {exc}") from exc
         if labels is not None and labels.saturates_exceeds_fat:
             quality_flags += 1
         samples.append(dataset.RecipeSample(
@@ -216,7 +218,7 @@ def cmd_train(args, config: dict) -> int:
         # the scoring inputs are checked before the fit and the solves
         val_samples = _nonempty_samples(args.val)
         val_labels = _labeled_samples(val_samples, args.val)
-        rules = ev.load_rules(args.rules)
+        rules = _scoring_rules(args.rules)
 
     print(f"fitting vectorizers on {len(texts)} documents ...")
     cv = features.fit_combined(texts)
@@ -317,7 +319,8 @@ def cmd_refine(args, config: dict) -> int:
     missing = set(preds) - set(samples)
     if missing:
         some = ", ".join(sorted(missing)[:5])
-        raise ValueError(f"{len(missing)} prediction ids have no sample text (e.g. {some})")
+        raise ValueError(f"{args.pred}: {len(missing)} prediction ids have no sample text "
+                         f"in {args.infile} (e.g. {some})")
 
     cache = llm.TranscriptCache(args.cache) if args.cache else None
 
@@ -335,12 +338,10 @@ def cmd_refine(args, config: dict) -> int:
 def cmd_merge(args, config: dict) -> int:
     base = ev.load_predictions(args.base)
     override = ev.load_predictions(args.override)
-    with open(args.ids, "r", encoding="utf-8") as fh:
-        try:
-            ids = {line.strip() for line in fh if line.strip()}
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{args.ids}: not utf-8 text: {exc}") from None
-    merged = llm.merge_predictions(base, override, ids)
+    with open(args.ids, "r", encoding="utf-8") as fh, checked(args.ids, "not utf-8 text"):
+        ids = {line.strip() for line in fh if line.strip()}
+    with checked(args.ids, f"merging {args.base} with {args.override}"):
+        merged = llm.merge_predictions(base, override, ids)
     ev.save_predictions(args.out, merged)
     print(f"wrote {len(merged)} predictions to {args.out} ({len(ids)} overridden)")
     return EXIT_OK
@@ -350,9 +351,9 @@ def cmd_evaluate(args, config: dict) -> int:
     preds = _nonempty_predictions(args.pred)
     samples = _nonempty_samples(args.labels)
     labels = _labeled_samples(samples, args.labels)
-    rules = ev.load_rules(args.rules)
-
-    report = ev.evaluate(preds, labels, rules)
+    rules = _scoring_rules(args.rules)
+    with checked(args.pred, f"scored against {args.labels}"):
+        report = ev.evaluate(preds, labels, rules)
     print(report.format_table())
     if args.json_out:
         with atomic_write(args.json_out) as fh:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, Iterator, Sequence
 
-from .util import dump_jsonl, format_decimal, iter_jsonl, load_jsonl
+from .util import checked, dump_jsonl, format_decimal, iter_jsonl, load_jsonl
 
 NUTRIENT_NAMES = ("energy", "fat", "protein", "salt", "saturates", "sugars")
 SCORED_NUTRIENTS = ("fat", "protein", "saturates", "sugars")
@@ -109,7 +109,8 @@ def load_raw(path: str | Path, format: str = "jsonl") -> list[RawSample]:
     if format == "jsonl":
         records: list[dict[str, Any]] = load_jsonl(path)
     elif format == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig: a spreadsheet's csv may start with a byte-order mark
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh, checked(path, "bad csv"):
             records = list(csv.DictReader(fh))
     else:
         raise ValueError(f"unknown format {format!r}; expected 'jsonl' or 'csv'")
@@ -318,14 +319,12 @@ def iter_samples(path: str | Path) -> Iterator[RecipeSample]:
 def _samples(rows: Iterable[dict[str, Any]], path: str | Path) -> Iterator[RecipeSample]:
     seen_ids: set[str] = set()
     for index, row in enumerate(rows):
-        try:
+        with checked(path, f"bad sample record {index}"):
             text = row["ingredient_text"]
             if not isinstance(text, str):
                 raise TypeError("ingredient_text must be a string")
             labels = NutrientVector.from_dict(row["labels"]) if row.get("labels") else None
             sample = RecipeSample(id=str(row["id"]), ingredient_text=text, labels=labels)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad sample record {index}: {exc}") from exc
         if sample.id in seen_ids:
             raise ValueError(f"{path}: record {index} has duplicate id {sample.id!r}")
         seen_ids.add(sample.id)

@@ -10,7 +10,6 @@ within the band, per nutrient.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import time
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dataset import SCORED_NUTRIENTS, NutrientPrediction, NutrientVector
-from .util import dump_jsonl, load_jsonl
+from .util import checked, dump_jsonl, load_jsonl, read_json
 
 MARGIN_KINDS = ("absolute_g", "relative_fraction")
 
@@ -68,11 +67,13 @@ class ToleranceRule:
 
 def load_rules(path: str | Path | None = None) -> dict[str, ToleranceRule]:
     """Load tolerance rules from json; None loads the packaged defaults."""
-    source = (resources.files("recipe_nutrients.data") / "eu_tolerances.json"
-              if path is None else Path(path))
+    if path is None:
+        with resources.as_file(resources.files("recipe_nutrients.data")
+                               / "eu_tolerances.json") as packaged:
+            return load_rules(packaged)
+    raw, _ = read_json(path, "bad tolerance rules")
     rules: dict[str, ToleranceRule] = {}
-    try:
-        raw = json.loads(source.read_text(encoding="utf-8"))
+    with checked(path, "bad tolerance rules"):
         if not isinstance(raw, dict):
             raise ValueError("rules must be a json object of nutrient -> bands")
         for nutrient, bands in raw.items():
@@ -88,8 +89,6 @@ def load_rules(path: str | Path | None = None) -> dict[str, ToleranceRule]:
                     for b in bands
                 ),
             )
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(f"{source}: bad tolerance rules: {exc}") from exc
     return rules
 
 
@@ -238,11 +237,9 @@ def load_predictions(path: str | Path) -> dict[str, NutrientPrediction]:
     """Read the prediction interchange file; ids must be unique within it."""
     preds: dict[str, NutrientPrediction] = {}
     for index, row in enumerate(load_jsonl(path)):
-        try:
+        with checked(path, f"bad prediction record {index}"):
             sample_id = str(row["id"])
             pred = NutrientPrediction.from_dict(row)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad prediction record {index}: {exc}") from exc
         if sample_id in preds:
             raise ValueError(f"{path}: record {index} has duplicate id {sample_id!r}")
         preds[sample_id] = pred

@@ -50,7 +50,7 @@ import numpy as np
 
 from .kernels import CsrMatrix
 from .stopwords import ENGLISH_STOPWORDS
-from .util import atomic_write
+from .util import atomic_write, checked, read_json
 
 FORMAT_VERSION = 1
 
@@ -380,16 +380,12 @@ class CombinedVectorizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "CombinedVectorizer":
-        with open(path, "rb") as fh:
-            file_bytes = fh.read()
-        try:
-            raw = json.loads(file_bytes)
+        raw, file_bytes = read_json(path, "bad vectorizer file")
+        with checked(path, "bad vectorizer file"):
             version = raw.get("format_version") if isinstance(raw, dict) else None
             if version != FORMAT_VERSION:
                 raise ValueError(f"unsupported vectorizer format version {version!r}")
             cv = cls(word=Vocabulary.from_dict(raw["word"]), char=Vocabulary.from_dict(raw["char"]))
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: bad vectorizer file: {exc}") from exc
         cv._file_bytes = file_bytes
         return cv
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .dataset import NutrientPrediction, ParseError, render_answer, scan_nutrient_pairs
-from .util import format_decimal, load_jsonl, parse_jsonl
+from .util import checked, format_decimal, load_jsonl, parse_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -107,6 +107,14 @@ class EndpointConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, kind, noun in [("base_url", str, "a string"), ("model_name", str, "a string"),
+                                 ("api_key_env", (str, type(None)), "a string or null"),
+                                 ("max_retries", int, "an integer"),
+                                 ("max_concurrency", int, "an integer")]:
+            value = getattr(self, name)
+            # isinstance counts a bool as an int
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} must be {noun}, got {value!r}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
         if self.max_retries < 0:
@@ -127,10 +135,8 @@ class FewShotBank:
     def from_file(cls, path: str | Path) -> "FewShotBank":
         exemplars = []
         for index, row in enumerate(load_jsonl(path)):
-            try:
+            with checked(path, f"bad few-shot record {index}"):
                 exemplars.append((str(row["ingredient_text"]), NutrientPrediction.from_dict(row)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad few-shot record {index}: {exc}") from exc
         return cls(exemplars=tuple(exemplars))
 
     @classmethod
@@ -261,19 +267,19 @@ class TranscriptCache:
             return
         data = self.path.read_bytes()
         body, _, tail = data.rpartition(b"\n")
-        rows = parse_jsonl((line.decode("utf-8") for line in body.split(b"\n")), self.path)
+        rows = list(parse_jsonl(body.split(b"\n"), self.path))
         if tail:
             try:
-                rows += parse_jsonl([tail.decode("utf-8")], self.path)
+                rows += parse_jsonl([tail], self.path)
                 self._repair = (len(data), b"\n")
             except ValueError:
                 logger.warning("%s: skipping the torn last line (%d bytes)", self.path, len(tail))
                 self._repair = (len(data) - len(tail), b"")
         for index, row in enumerate(rows):
-            values = [row.get(key) for key in ("id", "request_hash", "response")]
-            if not all(isinstance(value, str) for value in values):
-                raise ValueError(f"{self.path}: malformed transcript record {index}: id, "
-                                 "request_hash and response must all be strings")
+            with checked(self.path, f"malformed transcript record {index}"):
+                values = [row.get(key) for key in ("id", "request_hash", "response")]
+                if not all(isinstance(value, str) for value in values):
+                    raise TypeError("id, request_hash and response must all be strings")
             sample_id, req_hash, response = values
             self._entries[(sample_id, req_hash)] = response
 

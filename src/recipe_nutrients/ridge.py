@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataset import SCORED_NUTRIENTS, NutrientPrediction, NutrientVector
 from .kernels import REPEAT_ROWS, CsrMatrix
-from .util import atomic_write
+from .util import atomic_write, checked, read_json
 
 MODEL_FORMAT_VERSION = 2
 
@@ -431,17 +431,13 @@ def save_model(model: RidgeModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RidgeModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # not utf-8, not json, or nested too deep
-        raise ValueError(f"{path}: corrupted model file: {exc}") from exc
+    payload, _ = read_json(path, "corrupted model file")
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != MODEL_FORMAT_VERSION:
         hint = "; retrain it with `train`" if version == 1 else ""
         raise ValueError(f"{path}: unsupported model format version {version!r} "
                          f"(this release reads version {MODEL_FORMAT_VERSION}){hint}")
-    try:
+    with checked(path, "corrupted model file"):
         targets = [str(t) for t in payload["targets"]]
         feature_dim = int(payload["feature_dim"])
         weights = _decode(payload["weights_b64"], (len(targets), feature_dim))
@@ -456,10 +452,8 @@ def load_model(path: str | Path) -> RidgeModel:
         fingerprint = payload.get("vectorizer_fingerprint")
         if not (fingerprint is None or isinstance(fingerprint, str)):
             raise ValueError(f"vectorizer_fingerprint must be a string or null, got {fingerprint!r}")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"{path}: corrupted model file: {exc}") from exc
-    if not (np.isfinite(weights).all() and np.isfinite(intercepts).all()):
-        raise ValueError(f"{path}: corrupted model file: weights or intercepts are not finite")
+        if not (np.isfinite(weights).all() and np.isfinite(intercepts).all()):
+            raise ValueError("weights or intercepts are not finite")
     return RidgeModel(targets=targets, weights=weights, intercepts=intercepts,
                       feature_dim=feature_dim, config=config, vectorizer_fingerprint=fingerprint,
                       warnings=warnings, solver_stats=solver_stats)

@@ -1,7 +1,11 @@
-"""Small shared helpers: decimal formatting, atomic file writes and json-lines I/O."""
+"""Small shared helpers: decimal formatting, atomic file writes, and the reading
+of every input file, as utf-8 json (:func:`read_json`) or json lines
+(:func:`iter_jsonl`) with no byte-order mark; a loader checks its fields in
+:func:`checked`, so a bad file is one ValueError that starts with its path."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
@@ -21,45 +25,47 @@ def format_decimal(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read a json-lines file, skipping blank lines.
+@contextmanager
+def checked(path: str | Path, what: str) -> Iterator[None]:
+    """Raise any input error of the block (bad text or json, nesting too deep, a bad
+    field, a csv field past csv's size limit) as ``ValueError(f"{path}: {what}: {exc}")``."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError,
+            RecursionError, csv.Error) as exc:
+        raise ValueError(f"{path}: {what}: {exc}") from exc
 
-    Raises ValueError naming the offending line on malformed json.
-    """
+
+def read_json(path: str | Path, what: str) -> tuple[Any, bytes]:
+    """The json value held in the file at ``path``, and the file's bytes."""
+    data = Path(path).read_bytes()
+    with checked(path, what):
+        return json.loads(data.decode("utf-8")), data
+
+
+def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """Read a json-lines file (lines end at ``\\n``) of json objects, skipping blank
+    lines; ValueError names the file and the line of the first bad one."""
     return list(iter_jsonl(path))
 
 
 def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     """:func:`load_jsonl`'s rows one at a time, each line read as its row is taken."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from _json_rows(fh, path)
+    with open(path, "rb") as fh:
+        yield from parse_jsonl(fh, path)
 
 
-def parse_jsonl(lines: Iterable[str], source: str | Path) -> list[dict[str, Any]]:
-    """Parse json-lines text, skipping blank lines.
-
-    Raises ValueError naming ``source`` and the offending line on malformed
-    json, or naming ``source`` alone where ``lines`` meet bytes that are not utf-8.
-    """
-    return list(_json_rows(lines, source))
-
-
-def _json_rows(lines: Iterable[str], source: str | Path) -> Iterator[dict[str, Any]]:
-    """The rows of json-lines text, as :func:`parse_jsonl` describes."""
-    try:
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
+def parse_jsonl(lines: Iterable[bytes], source: str | Path) -> Iterator[dict[str, Any]]:
+    """:func:`load_jsonl`'s rows of ``lines``, one at a time; errors name ``source``."""
+    for lineno, line in enumerate(lines, 1):
+        with checked(source, f"line {lineno}"):
+            text = line.decode("utf-8").strip()
+            if not text:
                 continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # not json, or nested too deep
-                raise ValueError(f"{source}: invalid json on line {lineno + 1}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{source}: line {lineno + 1} is not a json object")
-            yield obj
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{source}: not utf-8 text: {exc}") from None
+            row = json.loads(text)
+            if not isinstance(row, dict):
+                raise ValueError("not a json object")
+        yield row
 
 
 _held: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("_held", default=None)

@@ -104,6 +104,22 @@ class TestPrepare:
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("not_utf8", "'utf-8' codec can't decode"),
+        ("huge_field", "field larger than field limit")], ids=["not_utf8", "huge_field"])
+    def test_bad_csv_names_file(self, tmp_path, capsys, case, message):
+        raw, out_dir = tmp_path / "raw.csv", tmp_path / "data"
+        answer = "fat - 1, protein - 1, saturates - 0, sugars - 1, energy - 9, salt - 0"
+        # the second record's prompt holds a byte that is not utf-8, or a
+        # field over the csv module's limit of 131,072 characters
+        rye = b"rye \xff" if case == "not_utf8" else b"rye " + b"x" * 200_000
+        raw.write_bytes(f"id,prompt,answer\na,ingredients: oats,{answer}\n".encode()
+                        + b"b,ingredients: " + rye + f",{answer}\n".encode())
+        assert run("prepare", "--format", "csv", "--in", str(raw), "--out", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw}: ") and message in err and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_deterministic_across_runs(self, raw_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -719,16 +735,23 @@ class TestLlmCommands:
         assert f"error: {config_path}: endpoint profile 'local': " in err and "'timeut'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("timeout", math.nan), ("timeout", math.inf),
-                                            ("backoff_base", -1.0), ("backoff_base", math.nan)])
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param(key, value, message, id=f"{key}-{value}") for key, value, message in [
+            ("timeout", math.nan, "must be finite"), ("timeout", math.inf, "must be finite"),
+            ("backoff_base", -1.0, "must be finite"), ("backoff_base", math.nan, "must be finite"),
+            ("base_url", 5, "must be a string, got 5"),
+            ("model_name", None, "must be a string, got None"),
+            ("api_key_env", 5, "must be a string or null, got 5"),
+            ("max_retries", 1.5, "must be an integer, got 1.5"),
+            ("max_concurrency", True, "must be an integer, got True")]])
     def test_bad_timing_names_file_and_profile(self, trained_pipeline, endpoint_stub, tmp_path,
-                                               capsys, key, value):
+                                               capsys, key, value, message):
         config = stub_config(tmp_path, endpoint_stub, **{key: value})
         out = tmp_path / "x.jsonl"
         assert run("--config", config, "llm-predict", "--endpoint", "local",
                    "--in", str(trained_pipeline["val"]), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert f"error: {config}: endpoint profile 'local': {key} must be finite" in err
+        assert f"error: {config}: endpoint profile 'local': {key} {message}" in err
         assert not out.exists()
         assert endpoint_stub.requests == []
 
@@ -833,12 +856,48 @@ class TestPredictStreams:
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
+# a number no float holds, for a field read as a float
+HUGE = 10 ** 400
+
+
+def huge_file(role: str, bad: Path, config: str) -> None:
+    """Write a valid file for ``role`` but for one number that overflows where
+    it is read: 400 digits in a float field (on line 2 of a json-lines file; in
+    a transcript, which has none, in a string field), or Infinity where the
+    model and the vocabulary read an integer."""
+    if role in ("model", "vocab", "rules", "config"):
+        rules = Path(cli.__file__).parent / "data" / "eu_tolerances.json"
+        raw = json.loads(Path({"rules": rules, "config": config}.get(role, bad)).read_text())
+        if role == "model":
+            raw["feature_dim"] = math.inf
+        elif role == "vocab":
+            raw["word"]["n_docs"] = math.inf
+        elif role == "rules":
+            raw["fat"][0]["margin"] = HUGE
+        else:
+            raw["endpoints"]["local"]["timeout"] = HUGE
+        bad.write_text(json.dumps(raw))
+        return
+    fields = {name: 1.0 for name in SCORED_NUTRIENTS}
+    sample = {"id": "a", "ingredient_text": "oats",
+              "labels": {"energy": 1.0, "salt": 1.0, **fields}}
+    row = {"pred": {"id": "a", **fields}, "shots": {"ingredient_text": "oats", **fields},
+           "cache": {"id": "a", "request_hash": "h", "response": "r"}}.get(role, sample)
+    if role in ("train", "labels"):
+        huge = {**row, "labels": {**row["labels"], "fat": HUGE}}
+    else:
+        huge = {**row, "response" if role == "cache" else "fat": HUGE}
+    write_jsonl(bad, [row, huge])
+
 
 class TestDeeplyNestedInput:
-    @pytest.mark.parametrize("role", ["train", "labels", "pred", "model", "vocab", "rules",
-                                      "config", "shots", "cache"])
+    @pytest.mark.parametrize("role, corruption", [
+        pytest.param(role, corruption, id=role if corruption == "deep" else f"{role}-huge")
+        for corruption in ("deep", "huge")
+        for role in ("train", "labels", "pred", "model", "vocab", "rules", "config", "shots",
+                     "cache")])
     def test_refused_naming_file(self, trained_pipeline, endpoint_stub, tmp_path, capsys,
-                                 role):
+                                 role, corruption):
         out, preds = tmp_path / "out.jsonl", tmp_path / "preds.jsonl"
         val, model = str(trained_pipeline["val"]), tmp_path / "model.bin"
         shutil.copyfile(trained_pipeline["model"], model)
@@ -851,9 +910,12 @@ class TestDeeplyNestedInput:
         evaluate = ["evaluate", "--pred", str(preds), "--labels", val, "--json-out", str(out)]
         bad = {"model": model, "vocab": Path(f"{model}.vocab.json")}.get(role,
                                                                         tmp_path / "bad.json")
-        # in a json-lines file the deep line is line 2
         lines = role in ("train", "labels", "pred", "shots", "cache")
-        bad.write_text(f"{{}}\n{DEEP_JSON}\n" if lines else DEEP_JSON)
+        if corruption == "huge":
+            huge_file(role, bad, config)
+        else:
+            # in a json-lines file the deep line is line 2
+            bad.write_text(f"{{}}\n{DEEP_JSON}\n" if lines else DEEP_JSON)
         argv = {
             "train": ["train", "--train", str(bad), "--out", str(out)],
             "labels": ["evaluate", "--pred", str(preds), "--labels", str(bad)],
@@ -861,16 +923,17 @@ class TestDeeplyNestedInput:
             "model": ["predict", "--model", str(model), "--in", val, "--out", str(out)],
             "vocab": ["predict", "--model", str(model), "--in", val, "--out", str(out)],
             "rules": [*evaluate, "--rules", str(bad)],
-            "config": ["--config", str(bad), *evaluate],
+            "config": ["--config", str(bad), *llm_predict[2:]],
             "shots": [*llm_predict, "--shots", str(bad)],
             "cache": [*llm_predict, "--cache", str(bad)],
         }[role]
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-        assert "recursion" in err
+        if corruption == "deep":
+            assert "recursion" in err
         if lines:
-            assert "line 2" in err
+            assert ("line 2" if corruption == "deep" else "record 1") in err
         assert not out.exists()
         assert endpoint_stub.requests == []
 

@@ -52,6 +52,11 @@ class TestLoadRaw:
         assert samples[0].id == "x1"
         assert samples[0].prompt == "a, b"
 
+    def test_csv_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b'\xef\xbb\xbfid,prompt,answer\nx1,"a, b",Z\n')
+        assert load_raw(path, format="csv")[0].id == "x1"
+
     def test_explicit_ids_and_duplicates(self, tmp_path):
         path = tmp_path / "raw.jsonl"
         path.write_text('{"id": "k", "prompt": "P"}\n{"id": "k", "prompt": "Q"}\n')

@@ -1,6 +1,69 @@
+import re
+
 import pytest
 
-from recipe_nutrients.util import atomic_write, dump_jsonl, load_jsonl, replace_together
+from recipe_nutrients.util import (atomic_write, checked, dump_jsonl, load_jsonl, read_json,
+                                   replace_together)
+
+# one bad json text per way decoding fails, and the words the error gives
+DECODE_FAILURES = {
+    "not_utf8": (b'{"id": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    "deep": (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    "bom": (b'\xef\xbb\xbf{"id": "a"}', "Unexpected UTF-8 BOM"),
+    "truncated": (b'{"id": "a", "fat": 1.', "Expecting"),
+}
+
+
+@pytest.mark.parametrize("case", DECODE_FAILURES)
+def test_read_json_names_file_on_decode_failure(tmp_path, case):
+    data, message = DECODE_FAILURES[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: bad thing: ')}.*{message}"):
+        read_json(path, "bad thing")
+
+
+@pytest.mark.parametrize("case", DECODE_FAILURES)
+def test_load_jsonl_names_file_and_line_on_decode_failure(tmp_path, case):
+    data, message = DECODE_FAILURES[case]
+    path = tmp_path / "bad.jsonl"
+    # a byte-order mark is read as one only at the start of the file
+    path.write_bytes(data + b'\n{"id": "b"}\n' if case == "bom"
+                     else b'{"id": "a"}\n' + data + b"\n")
+    line = 1 if case == "bom" else 2
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: ')}.*{message}"):
+        load_jsonl(path)
+
+
+def test_read_json_keeps_the_bytes_it_read(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_bytes(b'{"id":  "a"}\r\n')
+    assert read_json(path, "thing") == ({"id": "a"}, b'{"id":  "a"}\r\n')
+
+
+def test_huge_integer_in_checked_names_file(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('{"margin": ' + "9" * 400 + "}")
+    raw, _ = read_json(path, "bad rules")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: bad rules: ')}int too large"):
+        with checked(path, "bad rules"):
+            float(raw["margin"])
+
+
+@pytest.mark.parametrize("error", [KeyError("fat"), TypeError("t"), AttributeError("a"),
+                                   OverflowError("o"), ZeroDivisionError("z"),
+                                   RecursionError("r")])
+def test_checked_names_file_for_every_input_error(error):
+    with pytest.raises(ValueError, match=f"^data.json: record 3: {re.escape(str(error))}$"):
+        with checked("data.json", "record 3"):
+            raise error
+
+
+def test_checked_lets_other_errors_through():
+    with pytest.raises(OSError):
+        with checked("data.json", "record 3"):
+            raise OSError("disk")
+
 
 
 def test_interrupted_dump_leaves_earlier_file_intact(tmp_path):
