@@ -25,10 +25,12 @@ before writing anything. The vectorizer file always sits next to the model, at
 unless its fingerprint is the one the model records (a model without one
 matches no file); bench times each sample after 100 warm-up predictions.
 
-Only train, predict and bench import ``features`` and ``ridge`` (and with
-them numpy), inside the functions that use them, so the other stages start
-without numpy; ``requests`` is loaded only when a request is sent
-(``llm.complete``).
+Each command imports the modules it uses inside its own function. Only
+train, predict and bench import ``features`` and ``ridge`` (and with them
+numpy), so the other stages start without numpy. ``evaluate`` is imported by
+evaluate, predict, bench, train with ``--alpha-grid``, and the llm commands;
+``llm`` by llm-predict, refine and merge; so prepare loads neither.
+``requests`` is loaded only when a request is sent (``llm.complete``).
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import dataset, evaluate as ev, llm
+from . import dataset
 from .dataset import SCORED_NUTRIENTS
 from .util import atomic_write, checked, read_json, replace_together
 
 if TYPE_CHECKING:
-    from . import ridge
+    from . import evaluate as ev, llm, ridge
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -72,6 +74,8 @@ def _load_config(path: str | None) -> dict:
 
 
 def _endpoint_from_config(config: dict, profile: str, path: str | None) -> llm.EndpointConfig:
+    from . import llm
+
     profiles = config.get("endpoints", {})
     if profile not in profiles:
         known = ", ".join(sorted(profiles)) or "none defined"
@@ -109,6 +113,8 @@ def _streamed_samples(path) -> Iterator[dataset.RecipeSample]:
 
 def _nonempty_predictions(path) -> dict[str, dataset.NutrientPrediction]:
     """The predictions of ``path``, which must hold at least one."""
+    from . import evaluate as ev
+
     preds = ev.load_predictions(path)
     if not preds:
         raise ValueError(f"{path}: no predictions")
@@ -117,6 +123,8 @@ def _nonempty_predictions(path) -> dict[str, dataset.NutrientPrediction]:
 
 def _scoring_rules(path: str | None) -> dict[str, ev.ToleranceRule]:
     """The tolerance rules of ``path``, which must cover every scored nutrient."""
+    from . import evaluate as ev
+
     rules = ev.load_rules(path)
     if not set(SCORED_NUTRIENTS) <= set(rules):
         raise ValueError(f"{path}: tolerance rules must cover {', '.join(SCORED_NUTRIENTS)}")
@@ -131,8 +139,9 @@ def cmd_prepare(args, config: dict) -> int:
         raise ValueError(f"{args.infile}: no records")
     samples = []
     quality_flags = 0
+    record = checked(args.infile, lambda: f"record {index} (id {row.id!r})")
     for index, row in enumerate(raw):
-        with checked(args.infile, f"record {index} (id {row.id!r})"):
+        with record:
             labels = dataset.parse_answer(row.answer) if row.answer else None
         if labels is not None and labels.saturates_exceeds_fat:
             quality_flags += 1
@@ -231,6 +240,8 @@ def cmd_train(args, config: dict) -> int:
                               alphas=alphas, config=cfg)
 
     if args.alpha_grid is not None:
+        from . import evaluate as ev
+
         val_preds: list[dict] = [{} for _ in models]
         for block_preds in _scored_blocks(models, val_samples, cv):
             for preds, block in zip(val_preds, block_preds):
@@ -286,6 +297,8 @@ def _load_model_and_vectorizer(model_path: str):
 
 
 def cmd_predict(args, config: dict) -> int:
+    from . import evaluate as ev
+
     model, cv = _load_model_and_vectorizer(args.model)
     # the samples are read a block at a time, and each block's predictions go
     # to the output file as soon as they are scored; a bad record met on the
@@ -298,8 +311,14 @@ def cmd_predict(args, config: dict) -> int:
 
 
 def cmd_llm_predict(args, config: dict) -> int:
+    from . import evaluate as ev, llm
+
     ep = _endpoint_from_config(config, args.endpoint, args.config)
     samples = _nonempty_samples(args.infile)
+    # checked before the shots, the cache or any request
+    blank = next((s.id for s in samples if not s.ingredient_text.strip()), None)
+    if blank is not None:
+        raise ValueError(f"{args.infile}: sample {blank!r} has a blank ingredient_text")
     bank = llm.FewShotBank.from_file(args.shots) if args.shots else llm.FewShotBank.default()
     cache = llm.TranscriptCache(args.cache) if args.cache else None
 
@@ -313,6 +332,8 @@ def cmd_llm_predict(args, config: dict) -> int:
 
 
 def cmd_refine(args, config: dict) -> int:
+    from . import evaluate as ev, llm
+
     ep = _endpoint_from_config(config, args.endpoint, args.config)
     preds = _nonempty_predictions(args.pred)
     samples = {s.id: s for s in dataset.load_samples(args.infile)}
@@ -336,6 +357,8 @@ def cmd_refine(args, config: dict) -> int:
 
 
 def cmd_merge(args, config: dict) -> int:
+    from . import evaluate as ev, llm
+
     base = ev.load_predictions(args.base)
     override = ev.load_predictions(args.override)
     with open(args.ids, "r", encoding="utf-8") as fh, checked(args.ids, "not utf-8 text"):
@@ -348,6 +371,8 @@ def cmd_merge(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
+    from . import evaluate as ev
+
     preds = _nonempty_predictions(args.pred)
     samples = _nonempty_samples(args.labels)
     labels = _labeled_samples(samples, args.labels)
@@ -363,7 +388,7 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_bench(args, config: dict) -> int:
-    from . import features, ridge
+    from . import evaluate as ev, features, ridge
 
     model, cv = _load_model_and_vectorizer(args.model)
     samples = _nonempty_samples(args.infile)

@@ -163,20 +163,26 @@ class ParseError(ValueError):
 _KEY_QUALIFIERS = frozenset({"saturated", "unsaturated", "monounsaturated", "polyunsaturated",
                              "trans", "added"})
 
-# what may not follow a number, as it would have been read cut short: "1e",
-# "1.e5", "1.2.3"
-_TRUNCATED = re.compile(r"\.?[\deE]")
-
 
 @functools.lru_cache(maxsize=None)
 def _pair_pattern(keys: tuple[str, ...]) -> re.Pattern:
-    # "key - number": the word before the key, if any, is captured so that a
-    # qualified key can be told apart; a key joined to a word before it
-    # ("low-fat", "xfat") is no key. The number may carry an exponent.
+    # "key - number", found from the key: a key joined to a word before it
+    # ("low-fat", "xfat") is no key. The number may carry an exponent. The
+    # lookahead group holds what would make the number read cut short if it
+    # follows it ("1e", "1.e5", "1.2.3"), and leaves the match ending at the
+    # number.
     return re.compile(
-        rf"(?:\b([a-z]+)\s+)?(?<![\w-])({'|'.join(keys)})\s*-\s*"
-        r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)",
+        rf"(?<![\w-])({'|'.join(keys)})\s*-\s*(\d+(?:\.\d+)?(?:e[+-]?\d+)?)(?=(\.?[\deE]))?",
         flags=re.IGNORECASE)
+
+
+@functools.cache
+def _qualifier_pattern() -> re.Pattern:
+    # the word before a key, when only whitespace parts them; searched from
+    # where the previous pair ended (a ``\b`` there looks at the character
+    # before it). Compiled on first use: ``[a-z]`` under case folding takes
+    # ~0.25 ms to compile, which every stage that imports this module would pay.
+    return re.compile(r"\b([a-z]+)\s+\Z", re.IGNORECASE)
 
 
 def scan_nutrient_pairs(text: str, keys: tuple[str, ...]) -> dict[str, float]:
@@ -188,12 +194,20 @@ def scan_nutrient_pairs(text: str, keys: tuple[str, ...]) -> dict[str, float]:
     rather than yield a guess.
     """
     values: dict[str, float] = {}
+    end = 0
     for match in _pair_pattern(keys).finditer(text):
-        qualifier, key, number = match.groups()
-        if qualifier is not None and qualifier.lower() in _KEY_QUALIFIERS:
-            continue
-        if _TRUNCATED.match(text, match.end()):
-            raise ParseError(f"malformed number after {key!r}: {text[match.start(3):][:20]!r}")
+        start, previous_end, end = match.start(), end, match.end()
+        # a qualifier is a word, then whitespace up to the key; the two
+        # characters before the key are looked at first, as most keys follow
+        # a comma
+        if (start - previous_end > 1 and text[start - 1].isspace()
+                and (text[start - 2].isalpha() or text[start - 2].isspace())):
+            qualifier = _qualifier_pattern().search(text, previous_end, start)
+            if qualifier is not None and qualifier[1].lower() in _KEY_QUALIFIERS:
+                continue
+        key, number, truncated = match.groups()
+        if truncated is not None:
+            raise ParseError(f"malformed number after {key!r}: {text[match.start(2):][:20]!r}")
         key, value = key.lower(), float(number)
         if not math.isfinite(value):
             raise ParseError(f"{key!r} is out of range: {number[:20]!r}")
@@ -318,8 +332,9 @@ def iter_samples(path: str | Path) -> Iterator[RecipeSample]:
 
 def _samples(rows: Iterable[dict[str, Any]], path: str | Path) -> Iterator[RecipeSample]:
     seen_ids: set[str] = set()
+    record = checked(path, lambda: f"bad sample record {index}")
     for index, row in enumerate(rows):
-        with checked(path, f"bad sample record {index}"):
+        with record:
             text = row["ingredient_text"]
             if not isinstance(text, str):
                 raise TypeError("ingredient_text must be a string")

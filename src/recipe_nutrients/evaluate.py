@@ -236,8 +236,9 @@ def save_predictions(path: str | Path,
 def load_predictions(path: str | Path) -> dict[str, NutrientPrediction]:
     """Read the prediction interchange file; ids must be unique within it."""
     preds: dict[str, NutrientPrediction] = {}
+    record = checked(path, lambda: f"bad prediction record {index}")
     for index, row in enumerate(load_jsonl(path)):
-        with checked(path, f"bad prediction record {index}"):
+        with record:
             sample_id = str(row["id"])
             pred = NutrientPrediction.from_dict(row)
         if sample_id in preds:

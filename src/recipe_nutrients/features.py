@@ -24,12 +24,13 @@ documents it turns up in. Rows are built in blocks of at most
 ``_BLOCK_CHARS`` characters: a block's words are looked up in the table,
 their columns gathered in numpy, its bigrams matched from adjacent token ids,
 and its (row, column) occurrences counted, weighted and normalized in numpy.
-Each block's entries are appended to self-growing ``array`` buffers (data,
-column indices, row pointers) as soon as the block is built, and the matrix
-views those buffers; so no block's part is kept beside the result, and the
-peak stays near the output's own size. Growing a buffer is not free: the
-three grow interleaved, so each reallocation of one may find no room after
-it and copy it whole.
+Each block's entries are copied into the result's arrays (data, column
+indices, row pointers) as soon as the block is built; so no block's part is
+kept beside the result, and the peak stays near the output's own size. The
+row pointers are sized by the row count, and the other two by the entries
+per character of the blocks built so far times the batch's characters, so a
+batch of like documents allocates them about once rather than growing them
+block by block, and copying them whole, as each block comes.
 """
 
 from __future__ import annotations
@@ -547,24 +548,38 @@ def transform_batch(docs: Sequence[str], cv: CombinedVectorizer) -> CsrMatrix:
     row followed by its char row (each normalized on its own).
 
     The rows are built a block of documents at a time. Each block's entries
-    are appended to growing arrays and the block's part dropped, so the parts
-    never sit beside the whole matrix; the result's arrays are numpy views of
-    those arrays. The arrays grow side by side, so a reallocation may copy
-    the one it grows. A single block's rows are returned as built.
+    are copied into the result's arrays and the block's part dropped, so the
+    parts never sit beside the whole matrix. The arrays are sized for the
+    entries that the characters not yet built would bring at the rate of those
+    built so far, with 1/16 to spare, and grow only when a block outruns that,
+    so a batch of like documents grows them about once; they are cut to the
+    entries at the end. A single block's rows are returned as built.
     """
     blocks = list(_blocks(docs))
     if len(blocks) == 1:
         return cv._block_rows(blocks[0])
-    data, indices, indptr = array("d"), array("q"), array("q", [0])
+    total_chars = sum(map(len, docs))
+    data, indices = np.empty(0), np.empty(0, dtype=np.int64)
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    nnz = rows = chars = 0
     for block in blocks:
         part = cv._block_rows(block)
-        # frombytes takes a buffer of bytes, so each array's is cast to one
-        indptr.frombytes((part.indptr[1:] + len(data)).data.cast("B"))
-        data.frombytes(part.data.data.cast("B"))
-        indices.frombytes(part.indices.data.cast("B"))
-    return CsrMatrix(data=np.frombuffer(data, dtype=np.float64),
-                     indices=np.frombuffer(indices, dtype=np.int64),
-                     indptr=np.frombuffer(indptr, dtype=np.int64), shape=(len(docs), cv.dim))
+        end = nnz + part.nnz
+        chars += sum(map(len, block))
+        if end > len(data):
+            # the whole batch at the entries per character so far, and 1/16
+            # more; resize reallocates, so the old and new arrays are never
+            # both held
+            capacity = max(end, end * total_chars * 17 // (16 * max(chars, 1)))
+            data.resize(capacity, refcheck=False)
+            indices.resize(capacity, refcheck=False)
+        data[nnz:end] = part.data
+        indices[nnz:end] = part.indices
+        indptr[rows + 1:rows + 1 + len(block)] = part.indptr[1:] + nnz
+        nnz, rows = end, rows + len(block)
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    return CsrMatrix(data=data, indices=indices, indptr=indptr, shape=(len(docs), cv.dim))
 
 
 def transform_combined(doc: str, cv: CombinedVectorizer) -> CsrMatrix:

@@ -134,8 +134,9 @@ class FewShotBank:
     @classmethod
     def from_file(cls, path: str | Path) -> "FewShotBank":
         exemplars = []
+        record = checked(path, lambda: f"bad few-shot record {index}")
         for index, row in enumerate(load_jsonl(path)):
-            with checked(path, f"bad few-shot record {index}"):
+            with record:
                 exemplars.append((str(row["ingredient_text"]), NutrientPrediction.from_dict(row)))
         return cls(exemplars=tuple(exemplars))
 
@@ -275,8 +276,9 @@ class TranscriptCache:
             except ValueError:
                 logger.warning("%s: skipping the torn last line (%d bytes)", self.path, len(tail))
                 self._repair = (len(data) - len(tail), b"")
+        record = checked(self.path, lambda: f"malformed transcript record {index}")
         for index, row in enumerate(rows):
-            with checked(self.path, f"malformed transcript record {index}"):
+            with record:
                 values = [row.get(key) for key in ("id", "request_hash", "response")]
                 if not all(isinstance(value, str) for value in values):
                     raise TypeError("id, request_hash and response must all be strings")

@@ -1,7 +1,10 @@
 """Small shared helpers: decimal formatting, atomic file writes, and the reading
 of every input file, as utf-8 json (:func:`read_json`) or json lines
-(:func:`iter_jsonl`) with no byte-order mark; a loader checks its fields in
-:func:`checked`, so a bad file is one ValueError that starts with its path."""
+(:func:`iter_jsonl`) with no byte-order mark; a loader checks its fields in a
+:class:`checked` scope, so a bad file is one ValueError that starts with its
+path. The json-lines reader and the record loaders each enter one scope for
+every line or record, and format a line's or record's name only when it
+fails."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 
 def format_decimal(value: float) -> str:
@@ -25,15 +28,28 @@ def format_decimal(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-@contextmanager
-def checked(path: str | Path, what: str) -> Iterator[None]:
+class checked:
     """Raise any input error of the block (bad text or json, nesting too deep, a bad
-    field, a csv field past csv's size limit) as ``ValueError(f"{path}: {what}: {exc}")``."""
-    try:
-        yield
-    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError,
-            RecursionError, csv.Error) as exc:
-        raise ValueError(f"{path}: {what}: {exc}") from exc
+    field, a csv field past csv's size limit) as ``ValueError(f"{path}: {what}: {exc}")``.
+
+    ``what`` may instead be a function that returns that text, called only when
+    an error is raised. A scope keeps nothing between blocks, so a loop can
+    make one and enter it for each record, naming the record only if it fails.
+    """
+
+    __slots__ = ("path", "what")
+
+    def __init__(self, path: str | Path, what: str | Callable[[], str]) -> None:
+        self.path, self.what = path, what
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, (LookupError, TypeError, ValueError, ArithmeticError,
+                            AttributeError, RecursionError, csv.Error)):
+            what = self.what() if callable(self.what) else self.what
+            raise ValueError(f"{self.path}: {what}: {exc}") from exc
 
 
 def read_json(path: str | Path, what: str) -> tuple[Any, bytes]:
@@ -57,8 +73,9 @@ def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
 
 def parse_jsonl(lines: Iterable[bytes], source: str | Path) -> Iterator[dict[str, Any]]:
     """:func:`load_jsonl`'s rows of ``lines``, one at a time; errors name ``source``."""
+    line_scope = checked(source, lambda: f"line {lineno}")
     for lineno, line in enumerate(lines, 1):
-        with checked(source, f"line {lineno}"):
+        with line_scope:
             text = line.decode("utf-8").strip()
             if not text:
                 continue

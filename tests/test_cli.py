@@ -571,6 +571,23 @@ class TestLlmCommands:
         assert not out.exists()
         assert endpoint_stub.requests == []
 
+    def test_blank_ingredient_text_names_file_and_sample(self, endpoint_stub, tmp_path,
+                                                         capsys):
+        # the cache is not json, so reading it first would name it instead
+        config = stub_config(tmp_path, endpoint_stub)
+        samples, cache, out = (tmp_path / name for name in ("in.jsonl", "cache.jsonl",
+                                                            "out.jsonl"))
+        write_jsonl(samples, [{"id": "a", "ingredient_text": "1 cup oats"},
+                              {"id": "b", "ingredient_text": " \t "}])
+        cache.write_bytes(b"not json\n")
+        assert run("--config", config, "llm-predict", "--endpoint", "local", "--in",
+                   str(samples), "--cache", str(cache), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {samples}: sample 'b' has a blank ingredient_text\n")
+        assert not out.exists()
+        assert cache.read_bytes() == b"not json\n"
+        assert endpoint_stub.requests == []
+
     @pytest.mark.parametrize("command", ["predict", "llm-predict", "refine"])
     def test_empty_input_refused_before_writing(self, trained_pipeline, endpoint_stub,
                                                 tmp_path, capsys, command):
@@ -1082,11 +1099,26 @@ def stage_inputs(trained_pipeline, tmp_path_factory):
             "raw": trained_pipeline["raw"], "model": trained_pipeline["model"]}
 
 
-@pytest.mark.parametrize("command", ["prepare", "evaluate", "merge", "llm-predict", "refine",
-                                     "train", "predict", "bench"])
+# the package modules each stage loads besides cli, dataset and util; "data"
+# is the packaged rules and few-shot bank, read when no file is given
+MODEL = ["features", "kernels", "ridge", "stopwords"]
+STAGE_MODULES = {
+    "prepare": [],
+    "evaluate": ["data", "evaluate"],
+    "merge": ["evaluate", "llm"],
+    "llm-predict": ["data", "evaluate", "llm"],
+    "refine": ["evaluate", "llm"],
+    "train": MODEL,
+    "predict": ["evaluate", *MODEL],
+    "bench": ["evaluate", *MODEL],
+}
+
+
+@pytest.mark.parametrize("command", list(STAGE_MODULES))
 def test_stage_loads_only_what_it_uses(stage_inputs, command):
     # each stage in a fresh interpreter, as a user runs it; the llm stages
-    # answer every sample from --cache, and only the model stages load numpy
+    # answer every sample from --cache, and only the model stages load numpy.
+    # train runs at one alpha, so neither it nor prepare loads evaluate or llm
     inp, root = stage_inputs, stage_inputs["root"]
     loaded = ["numpy"] if command in ("train", "predict", "bench") else []
     llm_args = ["--config", inp["config"], command, "--endpoint", "local",
@@ -1107,7 +1139,11 @@ def test_stage_loads_only_what_it_uses(stage_inputs, command):
     script = ("import sys\n"
               "from recipe_nutrients import cli\n"
               "code = cli.run(sys.argv[1:])\n"
-              "print(code, *(m for m in ('numpy', 'requests') if m in sys.modules))")
+              "print(code, *(m for m in ('numpy', 'requests') if m in sys.modules))\n"
+              "print(*sorted(m.split('.', 1)[1] for m in sys.modules\n"
+              "              if m.startswith('recipe_nutrients.')))")
     result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                             text=True, check=True)
-    assert result.stdout.splitlines()[-1].split() == ["0", *loaded], result.stderr
+    *_, status, package = result.stdout.splitlines()
+    assert status.split() == ["0", *loaded], result.stderr
+    assert package.split() == sorted(["cli", "dataset", "util", *STAGE_MODULES[command]])

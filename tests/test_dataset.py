@@ -1,9 +1,15 @@
+import math
 import random
+import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from recipe_nutrients.dataset import (
+    NUTRIENT_NAMES,
+    SCORED_NUTRIENTS,
     NutrientVector,
+    ParseError,
     RecipeSample,
     deduplicate,
     extract_ingredients,
@@ -12,6 +18,7 @@ from recipe_nutrients.dataset import (
     render_answer,
     save_samples,
     load_samples,
+    scan_nutrient_pairs,
     split,
 )
 
@@ -145,6 +152,77 @@ class TestParseAnswer:
         v = parse_answer("energy - 1, low-fat - 2, protein - 1, salt - 1, saturates - 1, "
                          "sugars - 1, fat - 4")
         assert v.fat == 4.0
+
+
+def regex_scan(text, keys):
+    """The scanner as one regex that reads an optional qualifier word before
+    each key: the reference that the key-first scanner must agree with."""
+    pattern = re.compile(rf"(?:\b([a-z]+)\s+)?(?<![\w-])({'|'.join(keys)})\s*-\s*"
+                         r"(\d+(?:\.\d+)?(?:e[+-]?\d+)?)", flags=re.IGNORECASE)
+    qualifiers = {"saturated", "unsaturated", "monounsaturated", "polyunsaturated", "trans",
+                  "added"}
+    values = {}
+    for match in pattern.finditer(text):
+        qualifier, key, number = match.groups()
+        if qualifier is not None and qualifier.lower() in qualifiers:
+            continue
+        if re.compile(r"\.?[\deE]").match(text, match.end()):
+            raise ParseError(f"malformed number after {key!r}: {text[match.start(3):][:20]!r}")
+        key, value = key.lower(), float(number)
+        if not math.isfinite(value):
+            raise ParseError(f"{key!r} is out of range: {number[:20]!r}")
+        if values.setdefault(key, value) != value:
+            raise ParseError(f"text gives {key!r} twice with different values: {text[:120]!r}")
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise ParseError(f"text is missing nutrient keys {missing}: {text[:120]!r}")
+    return values
+
+
+def scan_outcome(scan, text, keys):
+    try:
+        return scan(text, keys)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def mixed_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
+
+
+# one "key - number" pair and what may surround it: a character joined to the
+# key, a word before it (the qualifiers, other words and letters that match
+# [a-z] only under case folding), the key in mixed case, a separator, a number
+# and what may follow it
+pair_fragments = st.tuples(
+    st.sampled_from(["", "", "5", "_", "é", "-", ","]),
+    st.one_of(st.just(""), st.tuples(
+        st.sampled_from(["saturated", "Unsaturated", "monounsaturated", "POLYUNSATURATED",
+                         "trans", "added", "low", "total", "fat", "xsaturated", "ſaturated",
+                         "K", "İ", "ı", "ſ", "é", "5"]).flatmap(mixed_case),
+        st.sampled_from([" ", "  ", "\t", "\n"])).map("".join)),
+    st.sampled_from(NUTRIENT_NAMES + ("energie", "sat")).flatmap(mixed_case),
+    st.sampled_from([" - ", "-", " -", "- ", " ", ": "]),
+    st.tuples(st.sampled_from(["0", "1", "12", "007"]),
+              st.sampled_from(["", ".5", ".25", "."]),
+              st.sampled_from(["", "e1", "E-2", "e+3", "e400", "e"])).map("".join),
+    st.sampled_from(["", "", ".", "5", "e", ".5", ".e", "E"]),
+    st.sampled_from([", ", " ", "", "; and "]),
+).map("".join)
+
+
+@given(st.lists(pair_fragments, max_size=10).map("".join))
+# a skipped qualified pair whose number is followed by ".e": the next pair
+# starts right after the number, so "energy" is still read
+@example("saturated fat - 1.energy - 2, fat - 3, protein - 4, salt - 5, saturates - 6, "
+         "sugars - 7")
+# a word that starts right after a letter outside [a-z] qualifies nothing
+@example("ésaturated fat - 1, energy - 2, protein - 4, salt - 5, saturates - 6, sugars - 7")
+def test_key_first_scan_matches_the_one_regex_scan(text):
+    for keys in (NUTRIENT_NAMES, SCORED_NUTRIENTS):
+        assert (scan_outcome(scan_nutrient_pairs, text, keys)
+                == scan_outcome(regex_scan, text, keys))
 
 
 class TestRenderAnswer:
